@@ -156,16 +156,12 @@ def is_keen_02(link: TwoBridgeLink) -> bool:
     return True
 
 
-def is_strongly_keen_02(
-    link: TwoBridgeLink, *, cap: int | None = None, vertex_cap: int | None = None
-) -> bool:
+def is_strongly_keen_02(link: TwoBridgeLink) -> bool:
     """True when exactly one geodesic realizes the splitting distance.
 
     Distance <= 1 forces uniqueness.
     """
-    return farey.is_unique_geodesic(
-        INFINITY, link.slope, cap=cap, vertex_cap=vertex_cap
-    )
+    return farey.is_unique_geodesic(INFINITY, link.slope)
 
 
 def classify_02(
@@ -173,19 +169,27 @@ def classify_02(
     *,
     include_geodesics: bool = True,
     cap: int | None = None,
-    vertex_cap: int | None = None,
 ) -> SplittingReport:
-    """Full (0,2)-splitting report for one 2-bridge link."""
-    gs = farey.all_geodesics(INFINITY, link.slope, cap=cap, vertex_cap=vertex_cap)
+    """Full (0,2)-splitting report for one 2-bridge link.
+
+    Without geodesics the report is read off the geodesic count alone, so
+    the enumeration cap does not apply.
+    """
+    if include_geodesics:
+        gs = farey.all_geodesics(INFINITY, link.slope, cap=cap)
+        length, count = gs.length, len(gs)
+    else:
+        gs = None
+        length, count = farey._length_and_count(INFINITY, link.slope)
     return SplittingReport(
         subject=str(link),
         splitting="02",
-        distance=gs.length,
+        distance=length,
         case="02",
         keen=True,
-        strongly_keen=gs.unique,
+        strongly_keen=count == 1,
         note=KEEN_02_NOTE,
-        geodesics=gs if include_geodesics else None,
+        geodesics=gs,
     )
 
 

@@ -158,7 +158,7 @@ def _build_parser() -> _Parser:
         action="store_true",
         help="re-check distance/geodesic results against the brute-force oracle",
     )
-    parser.add_argument("--ladder-cap", type=int, help="max ladder vertices")
+    parser.add_argument("--ladder-cap", type=int, help="max ladder vertices (ladder, distance)")
     parser.add_argument("--geo-cap", type=int, help="max enumerated geodesics")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -299,9 +299,7 @@ def _cmd_distance(args, out, err) -> int:
 
 
 def _cmd_geodesics(args, out, err) -> int:
-    gs = farey.all_geodesics(
-        args.x, args.y, cap=args.geo_cap, vertex_cap=args.ladder_cap
-    )
+    gs = farey.all_geodesics(args.x, args.y, cap=args.geo_cap)
     if args.oracle:
         problem = _oracle_check_geodesics(gs)
         if problem:
@@ -386,7 +384,7 @@ def _tri(value: bool | None) -> str:
 
 def _cmd_classify_2bridge(args, out, err) -> int:
     link = bridge.TwoBridgeLink(args.q, args.p)
-    rep = bridge.classify_02(link, cap=args.geo_cap, vertex_cap=args.ladder_cap)
+    rep = bridge.classify_02(link, cap=args.geo_cap)
     if args.oracle:
         problem = _oracle_check_geodesics(rep.geodesics)
         if problem:

@@ -1,18 +1,17 @@
 """The Farey graph: ladders of triangles, spines, distances, geodesics.
 
-Vertices are canonical slopes, edges are pairs with |det| = 1.  For
-non-adjacent endpoints the work happens inside the ladder: the strip of
-Farey triangles between the endpoints.  A shortest path between the
-endpoints of a ladder never benefits from leaving it, so BFS inside the
-strip computes true graph distance and the full geodesic set.
+Vertices are canonical slopes, edges are pairs with |det| = 1.  A pair is
+normalized so the source is 1/0 and the target is p/q in [0, 1), and p/q
+is expanded as [a1, ..., an] with convergents c_{-1} = 1/0, c_0 = 0/1,
+..., c_n = p/q.  Geodesics run along these: c_{k-1} to c_k is an edge,
+c_{k-2} to c_k is an edge when a_k = 1 and two edges through the mediant
+c_{k-2} + c_{k-1} when a_k = 2, and a recurrence over them gives the
+distance and the geodesic count in O(n) steps.
 
-Ladders are built arithmetically, never geometrically: normalize the pair
-so the source is 1/0 and the target is p/q in (0, 1), expand p/q as
-[a1, ..., an], and lay down n fans of triangles.  Fan i has a_i triangles
-around its pivot (the (i-1)st convergent, counting 0/1 as the 0th); its
-rim walks the intermediate mediants from the previous pivot to the next.
-Run lengths of the L/R labels are then (a1, ..., an) by construction,
-with the first run labelled L.
+Ladders lay down n fans of triangles, fan i with a_i triangles around its
+pivot c_{i-1}; its rim walks the intermediate mediants from the previous
+pivot to the next, so the L/R run lengths are (a1, ..., an), first run L.
+Every geodesic lies in the ladder; distance is found by BFS inside it.
 """
 
 from __future__ import annotations
@@ -325,63 +324,39 @@ def distance(
     raise DomainError(f"ladder disconnected between {x} and {y}; invariant broken")
 
 
-def _geodesics_in_graph(
-    adj: dict,
-    source,
-    target,
-    cap: int,
-    describe: str,
-):
-    """All shortest source->target paths in an adjacency dict.
-
-    Returns (length, paths) with paths sorted by vertex key; raises
-    EnumerationOverflow when the count exceeds cap before materializing.
+def _skeleton(x: ExtendedRational, y: ExtendedRational):
+    """(m, entries, conv, dist, count) for distinct x, y: m normalizes the
+    pair, conv holds the convergents from 1/0 to m(y) as integer pairs, and
+    dist[i], count[i] are the distance from 1/0 to conv[i] and the number of
+    geodesics realizing it.  A skip past a_k = 2 through the pivot is the
+    two steps already counted, so only the mediant route adds to it.
     """
-    dist = {source: 0}
-    preds: dict = {source: ()}
-    queue = deque((source,))
-    while queue:
-        u = queue.popleft()
-        if u == target:
-            break
-        nd = dist[u] + 1
-        for v in adj[u]:
-            d = dist.get(v)
-            if d is None:
-                dist[v] = nd
-                preds[v] = [u]
-                queue.append(v)
-            elif d == nd:
-                preds[v].append(u)
-    if target not in dist:
-        raise DomainError(f"no path found for {describe}; invariant broken")
+    m, image = normalize_pair(x, y)
+    entries = cf_expand(image).entries
+    conv = [(1, 0), (0, 1)]
+    dist = [0, 1]
+    count = [1, 1]
+    for i, a in enumerate(entries, start=2):
+        (p0, q0), (p1, q1) = conv[i - 2], conv[i - 1]
+        conv.append((a * p1 + p0, a * q1 + q0))
+        d, c = dist[i - 1] + 1, count[i - 1]
+        if a <= 2:
+            skip = dist[i - 2] + a
+            if skip < d:
+                d, c = skip, count[i - 2]
+            elif skip == d:
+                c += count[i - 2]
+        dist.append(d)
+        count.append(c)
+    return m, entries, conv, dist, count
 
-    counts = {source: 1}
 
-    def count(v) -> int:
-        c = counts.get(v)
-        if c is None:
-            c = sum(count(u) for u in preds[v])
-            counts[v] = c
-        return c
-
-    total = count(target)
-    if total > cap:
-        raise EnumerationOverflow(
-            f"{total} geodesics for {describe}, cap is {cap}"
-        )
-
-    paths: list[tuple] = []
-    stack = [(target, (target,))]
-    while stack:
-        v, tail = stack.pop()
-        if v == source:
-            paths.append(tail)
-            continue
-        for u in preds[v]:
-            stack.append((u, (u,) + tail))
-    paths.sort(key=lambda path: tuple(_sort_key(v) for v in path))
-    return dist[target], paths
+def _length_and_count(x: ExtendedRational, y: ExtendedRational) -> tuple[int, int]:
+    """Distance from x to y and the number of geodesics realizing it."""
+    if x == y:
+        return 0, 1
+    _, _, _, dist, count = _skeleton(x, y)
+    return dist[-1], count[-1]
 
 
 def all_geodesics(
@@ -389,42 +364,57 @@ def all_geodesics(
     y: ExtendedRational,
     *,
     cap: int | None = None,
-    vertex_cap: int | None = None,
 ) -> GeodesicSet:
     """Every geodesic from x to y, sorted, capped at FAREY_GEO_CAP (10**5).
 
-    x = y yields the single empty path (one vertex, zero edges).
+    The cap is checked against the geodesic count before any path is
+    built.  x = y yields the single empty path (one vertex, zero edges).
     """
     cap_value = _resolve_cap(cap, GEO_CAP_ENV, DEFAULT_GEO_CAP)
     if x == y:
         return GeodesicSet(x, y, 0, (FareyPath((x,)),))
-    if is_adjacent(x, y):
-        return GeodesicSet(x, y, 1, (FareyPath((x, y)),))
-    l = ladder(x, y, vertex_cap=vertex_cap)
-    length, raw = _geodesics_in_graph(
-        _adjacency(l), x, y, cap_value, f"{x} -> {y}"
-    )
-    return GeodesicSet(x, y, length, tuple(FareyPath(p) for p in raw))
+    m, entries, conv, dist, count = _skeleton(x, y)
+    if count[-1] > cap_value:
+        raise EnumerationOverflow(
+            f"{count[-1]} geodesics for {x} -> {y}, cap is {cap_value}"
+        )
+    # Every vertex a geodesic can visit, each mapped back once: the
+    # convergents, then the mediant before node i at len(conv) + i - 2.
+    # Paths are tuples of the vertices' ranks in sort-key order, so sorting
+    # them sorts the mapped paths.
+    points = conv + [(p0 + p1, q0 + q1) for (p0, q0), (p1, q1) in zip(conv, conv[1:])]
+    inv = m.inverse()
+    vertices = [inv.apply(ExtendedRational(p, q)) for p, q in points]
+    order = sorted(range(len(points)), key=lambda j: _sort_key(vertices[j]))
+    rank = {j: r for r, j in enumerate(order)}
+
+    # Walk the skeleton backwards from the target; every predecessor that
+    # keeps the distance tight continues a geodesic.
+    raw: list[tuple[int, ...]] = []
+    target = len(conv) - 1
+    stack = [(target, (rank[target],))]
+    while stack:
+        i, tail = stack.pop()
+        if i == 0:
+            raw.append(tail)
+            continue
+        if dist[i - 1] + 1 == dist[i]:
+            stack.append((i - 1, (rank[i - 1],) + tail))
+        a = entries[i - 2] if i >= 2 else 0
+        if a == 1 and dist[i - 2] + 1 == dist[i]:
+            stack.append((i - 2, (rank[i - 2],) + tail))
+        elif a == 2 and dist[i - 2] + 2 == dist[i]:
+            stack.append((i - 2, (rank[i - 2], rank[len(conv) + i - 2]) + tail))
+    raw.sort()
+    ordered = [vertices[j] for j in order]
+    paths = tuple(FareyPath(tuple(map(ordered.__getitem__, path))) for path in raw)
+    return GeodesicSet(x, y, dist[-1], paths)
 
 
-def is_unique_geodesic(
-    x: ExtendedRational,
-    y: ExtendedRational,
-    *,
-    cap: int | None = None,
-    vertex_cap: int | None = None,
-) -> bool:
+def is_unique_geodesic(x: ExtendedRational, y: ExtendedRational) -> bool:
     """Whether exactly one geodesic joins x and y.
 
-    Distance <= 1 is trivially unique.  When every CF entry of the
-    normalized target is >= 3 the spine is the one geodesic, so
-    enumeration is skipped; otherwise the geodesic set is enumerated.
-    The shortcut and the enumeration agree wherever both apply (tested).
+    Reads the geodesic count off the convergent skeleton; nothing is
+    enumerated, so no cap applies.
     """
-    if x == y or is_adjacent(x, y):
-        return True
-    _, image = normalize_pair(x, y)
-    cf = cf_expand(image)
-    if all(a >= 3 for a in cf.entries):
-        return True
-    return all_geodesics(x, y, cap=cap, vertex_cap=vertex_cap).unique
+    return _length_and_count(x, y)[1] == 1

@@ -15,7 +15,7 @@ from fareybridge.bridge import (
     splitting_distance_02,
 )
 from fareybridge.errors import DomainError
-from fareybridge.rationals import INFINITY, parse_slope
+from fareybridge.rationals import INFINITY, cf_eval, parse_slope
 
 sl = parse_slope
 
@@ -182,3 +182,19 @@ def test_make_strongly_keen_example_rejects_bad_input():
         make_strongly_keen_example(3, (3,))  # wrong length
     with pytest.raises(DomainError):
         make_strongly_keen_example(3, (3, 2))  # entry below 3
+
+
+def test_classify_02_long_expansion():
+    y = cf_eval([3] * 600)
+    rep = classify_02(TwoBridgeLink(y.q, y.p))
+    assert rep.distance == 601 and rep.strongly_keen
+    assert len(rep.geodesics) == 1
+
+
+def test_classify_02_without_geodesics_needs_no_enumeration():
+    y = cf_eval([2, 3, 3, 2, 3] * 20)  # 4**20 geodesics, over the default cap
+    link = TwoBridgeLink(y.q, y.p)
+    rep = classify_02(link, include_geodesics=False)
+    assert rep.distance == splitting_distance_02(link)
+    assert rep.keen and not rep.strongly_keen and rep.geodesics is None
+    assert not is_strongly_keen_02(link)

@@ -15,7 +15,7 @@ from fareybridge.cli import (
     report_to_jsonable,
     run,
 )
-from fareybridge.rationals import INFINITY, parse_slope
+from fareybridge.rationals import INFINITY, cf_eval, parse_slope
 
 sl = parse_slope
 
@@ -229,6 +229,12 @@ def test_resource_limits_exit_2():
     assert code == 2 and "cap" in err
     code, _, err = invoke("--ladder-cap", "3", "ladder", "1/0", "19/42")
     assert code == 2
+
+
+def test_geodesics_of_a_long_expansion():
+    code, out, err = invoke("geodesics", "1/0", str(cf_eval([3] * 600)))
+    assert (code, err) == (0, "")
+    assert out.splitlines()[:2] == ["distance 601", "unique true"]
 
 
 def test_help_exits_zero():

@@ -1,8 +1,12 @@
 from __future__ import annotations
 
+import math
+import random
+
 import pytest
 
 import fareybridge.farey as farey
+from fareybridge.bridge import TwoBridgeLink, classify_02
 from fareybridge.errors import (
     DegenerateLadder,
     DomainError,
@@ -22,7 +26,7 @@ from fareybridge.farey import (
     ladder_type,
     spine,
 )
-from fareybridge.rationals import INFINITY, ZERO, parse_slope
+from fareybridge.rationals import INFINITY, ZERO, MobiusMap, cf_eval, parse_slope
 
 sl = parse_slope
 
@@ -224,3 +228,76 @@ def test_geodesics_visit_only_ladder_vertices():
     allowed = set(l.vertices())
     for path in all_geodesics(INFINITY, sl("19/42")).paths:
         assert set(path.vertices) <= allowed
+
+
+def _moved_pairs(seed: int, n: int):
+    """Seeded finite, non-adjacent pairs: a random unimodular map applied to
+    1/0 and to a short expansion; half of the maps have entries of 30 or
+    more digits."""
+    rng = random.Random(seed)
+    pairs = []
+    while len(pairs) < n:
+        digits = rng.choice((1, 3, 30, 36))
+        a, c = rng.randrange(1, 10**digits), rng.randrange(1, 10**digits)
+        if math.gcd(a, c) != 1:
+            continue
+        d = pow(a, -1, c)  # a*d = 1 mod c, so a*d - b*c = 1
+        m = MobiusMap(a, (a * d - 1) // c, c, d)
+        entries = [rng.choice((1, 1, 2, 2, 3, 5)) for _ in range(rng.randint(1, 9))]
+        entries[-1] = max(entries[-1], 2)
+        pairs.append((m.apply(INFINITY), m.apply(cf_eval(entries))))
+    return pairs
+
+
+def test_geodesics_visit_only_ladder_vertices_of_moved_pairs():
+    # the ladder BFS stays a second reference for the convergent skeleton
+    pairs = _moved_pairs(2024, 60)
+    assert any(max(abs(x.p), x.q) >= 10**29 for x, _ in pairs)
+    for x, y in pairs:
+        allowed = set(ladder(x, y).vertices())
+        gs = all_geodesics(x, y)
+        assert gs.length == distance(x, y)
+        for path in gs.paths:
+            assert set(path.vertices) <= allowed
+
+
+def test_geodesic_queries_build_no_ladder(monkeypatch):
+    def no_ladder(*args, **kwargs):
+        raise AssertionError("ladder built")
+
+    monkeypatch.setattr(farey, "ladder", no_ladder)
+    for y in ("79/182", "19/42", "1/2", "0/1", "1/0", "999/1000"):
+        all_geodesics(INFINITY, sl(y))
+        is_unique_geodesic(INFINITY, sl(y))
+    for x, y in _moved_pairs(5, 10):
+        all_geodesics(x, y)
+        is_unique_geodesic(x, y)
+    for q, p in ((182, 79), (42, 19), (0, 1), (1, 0), (10, 3)):
+        classify_02(TwoBridgeLink(q, p))
+        classify_02(TwoBridgeLink(q, p), include_geodesics=False)
+
+
+def test_long_expansion_has_the_spine_as_its_one_geodesic():
+    y = cf_eval([3] * 600)
+    gs = all_geodesics(INFINITY, y)
+    assert gs.length == 601 and gs.unique
+    assert gs.paths[0] == spine(ladder(INFINITY, y))
+    assert is_unique_geodesic(INFINITY, y)
+
+
+def test_uniqueness_is_answered_from_the_count_alone():
+    y = cf_eval([2, 3, 3, 2, 3] * 20)  # 4**20 geodesics
+    assert not is_unique_geodesic(INFINITY, y)
+    with pytest.raises(EnumerationOverflow, match=f"^{4**20} geodesics"):
+        all_geodesics(INFINITY, y)
+
+
+def test_enumeration_cap_is_checked_against_the_count():
+    cases = ([2], [2, 3, 3, 2, 3], [2, 4, 1, 3], [2] * 6, [1, 2, 1, 2, 2], [3] * 599 + [2])
+    for entries in cases:
+        y = cf_eval(entries)
+        n = len(all_geodesics(INFINITY, y).paths)
+        assert n > 1
+        assert len(all_geodesics(INFINITY, y, cap=n).paths) == n
+        with pytest.raises(EnumerationOverflow, match=f"^{n} geodesics.*cap is {n - 1}$"):
+            all_geodesics(INFINITY, y, cap=n - 1)
