@@ -2,9 +2,10 @@
 
 Slopes are reduced fractions p/q (including 1/0); two slopes span an edge of
 the Farey graph when |ps - qr| = 1. The package computes distances and the
-complete set of geodesics between any two slopes by building the finite strip
-of triangles pinched between them, and applies this to disk-complex distances
-of (0,2)- and (0,3)-splittings of 2-bridge links and their connected sums.
+complete set of geodesics between any two slopes from the convergents of a
+normalized endpoint, builds the finite strip of triangles pinched between them
+for drawing, and applies this to disk-complex distances of (0,2)- and
+(0,3)-splittings of 2-bridge links and their connected sums.
 """
 
 from .bridge import (

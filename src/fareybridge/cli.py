@@ -49,13 +49,18 @@ def geodesic_set_to_jsonable(gs: GeodesicSet) -> dict:
     }
 
 
-def geodesic_set_from_jsonable(d: dict) -> GeodesicSet:
-    paths = tuple(
-        FareyPath(tuple(parse_slope(s) for s in path)) for path in d["geodesics"]
-    )
+def _geodesic_set(x: str, y: str, length: int, paths: list) -> GeodesicSet:
+    """Parse a serialized geodesic set; the public constructors check it."""
     return GeodesicSet(
-        parse_slope(d["x"]), parse_slope(d["y"]), d["distance"], paths
+        parse_slope(x),
+        parse_slope(y),
+        length,
+        tuple(FareyPath(tuple(parse_slope(s) for s in path)) for path in paths),
     )
+
+
+def geodesic_set_from_jsonable(d: dict) -> GeodesicSet:
+    return _geodesic_set(d["x"], d["y"], d["distance"], d["geodesics"])
 
 
 def report_to_jsonable(r: bridge.SplittingReport) -> dict:
@@ -79,14 +84,8 @@ def report_to_jsonable(r: bridge.SplittingReport) -> dict:
 def report_from_jsonable(d: dict) -> bridge.SplittingReport:
     gs = None
     if "geodesics" in d:
-        paths = tuple(
-            FareyPath(tuple(parse_slope(s) for s in path)) for path in d["geodesics"]
-        )
-        gs = GeodesicSet(
-            parse_slope(d["geodesics_x"]),
-            parse_slope(d["geodesics_y"]),
-            paths[0].length,
-            paths,
+        gs = _geodesic_set(
+            d["geodesics_x"], d["geodesics_y"], d["distance"], d["geodesics"]
         )
     return bridge.SplittingReport(
         subject=d["subject"],
@@ -211,227 +210,163 @@ def _oracle_bound(x: ExtendedRational, y: ExtendedRational) -> int:
     return max(1, *(max(abs(v.p), v.q) for v in verts))
 
 
-def _oracle_check_distance(x, y, got: int) -> str | None:
+def _oracle_check_distance(x, y, got: int) -> None:
     want = oracle.bounded_distance(x, y, _oracle_bound(x, y))
     if want != got:
-        return f"oracle disagrees on distance({x}, {y}): oracle {want}, ladder {got}"
-    return None
+        raise FareyBridgeError(
+            f"oracle disagrees on distance({x}, {y}): oracle {want}, ladder {got}"
+        )
 
 
-def _oracle_check_geodesics(gs: GeodesicSet) -> str | None:
+def _oracle_check_geodesics(gs: GeodesicSet) -> None:
     want = oracle.bruteforce_geodesics(
         gs.source, gs.target, _oracle_bound(gs.source, gs.target)
     )
     ours = {tuple(p.vertices) for p in gs.paths}
     theirs = {tuple(p.vertices) for p in want.paths}
     if ours != theirs or want.length != gs.length:
-        return (
+        raise FareyBridgeError(
             f"oracle disagrees on geodesics({gs.source}, {gs.target}): "
             f"oracle {len(theirs)} paths of length {want.length}, "
-            f"ladder {len(ours)} of length {gs.length}"
+            f"computed {len(ours)} of length {gs.length}"
         )
-    return None
 
 
 # ---------------------------------------------------------------- subcommands
+# Each handler returns the JSON payload without "v" and "op"; each text
+# renderer builds the plain output from that same payload.  A ladder drawing
+# is returned as a string and written as it is.
 
-def _cmd_cf(args, out) -> int:
-    cf = cf_expand(args.slope)
-    if args.json:
-        print(
-            _dump(
-                {
-                    "v": SCHEMA_VERSION,
-                    "op": "cf",
-                    "slope": str(args.slope),
-                    "cf": list(cf.entries),
-                }
-            ),
-            file=out,
-        )
-    else:
-        print(str(cf), file=out)
-    return 0
+def _cf(args) -> dict:
+    return {"slope": str(args.slope), "cf": list(cf_expand(args.slope).entries)}
 
 
-def _cmd_eval(args, out) -> int:
-    slope = cf_eval(args.entries)
-    if args.json:
-        print(
-            _dump(
-                {
-                    "v": SCHEMA_VERSION,
-                    "op": "eval",
-                    "cf": list(args.entries),
-                    "slope": str(slope),
-                }
-            ),
-            file=out,
-        )
-    else:
-        print(str(slope), file=out)
-    return 0
+def _eval(args) -> dict:
+    return {"cf": list(args.entries), "slope": str(cf_eval(args.entries))}
 
 
-def _cmd_distance(args, out, err) -> int:
+def _distance(args) -> dict:
     d = farey.distance(args.x, args.y, vertex_cap=args.ladder_cap)
     if args.oracle:
-        problem = _oracle_check_distance(args.x, args.y, d)
-        if problem:
-            print(problem, file=err)
-            return 1
-    if args.json:
-        print(
-            _dump(
-                {
-                    "v": SCHEMA_VERSION,
-                    "op": "distance",
-                    "x": str(args.x),
-                    "y": str(args.y),
-                    "distance": d,
-                }
-            ),
-            file=out,
-        )
-    else:
-        print(d, file=out)
-    return 0
+        _oracle_check_distance(args.x, args.y, d)
+    return {"x": str(args.x), "y": str(args.y), "distance": d}
 
 
-def _cmd_geodesics(args, out, err) -> int:
+def _geodesics(args) -> dict:
     gs = farey.all_geodesics(args.x, args.y, cap=args.geo_cap)
     if args.oracle:
-        problem = _oracle_check_geodesics(gs)
-        if problem:
-            print(problem, file=err)
-            return 1
-    if args.json:
-        payload = {"v": SCHEMA_VERSION, "op": "geodesics"}
-        payload.update(geodesic_set_to_jsonable(gs))
-        print(_dump(payload), file=out)
-    else:
-        print(f"distance {gs.length}", file=out)
-        print(f"unique {str(gs.unique).lower()}", file=out)
-        for p in gs.paths:
-            print(str(p), file=out)
-    return 0
+        _oracle_check_geodesics(gs)
+    return geodesic_set_to_jsonable(gs)
 
 
-def _cmd_ladder(args, out) -> int:
+def _ladder(args) -> dict | str:
     l = farey.ladder(args.x, args.y, vertex_cap=args.ladder_cap)
     if args.render == "ascii":
-        out.write(render.render_ascii(l))
-        return 0
+        return render.render_ascii(l)
     if args.render == "svg":
-        out.write(render.render_svg(l))
-        return 0
+        return render.render_svg(l)
     try:
         spine_strs = [str(v) for v in farey.spine(l).vertices]
     except SpineUndefined:
         spine_strs = None
-    if args.json:
-        print(
-            _dump(
-                {
-                    "v": SCHEMA_VERSION,
-                    "op": "ladder",
-                    "x": str(args.x),
-                    "y": str(args.y),
-                    "type": list(l.runs),
-                    "triangles": l.triangle_count,
-                    "pivots": [str(p) for p in l.pivots],
-                    "spine": spine_strs,
-                }
-            ),
-            file=out,
-        )
-    else:
-        print(f"type ({','.join(map(str, l.runs))})", file=out)
-        print(f"triangles {l.triangle_count}", file=out)
-        print("pivots " + " ".join(str(p) for p in l.pivots), file=out)
-        if spine_strs is None:
-            print("spine (undefined: fewer than 3 triangles)", file=out)
-        else:
-            print("spine " + " ".join(spine_strs), file=out)
-    return 0
+    return {
+        "x": str(args.x),
+        "y": str(args.y),
+        "type": list(l.runs),
+        "triangles": l.triangle_count,
+        "pivots": [str(p) for p in l.pivots],
+        "spine": spine_strs,
+    }
 
 
-def _emit_report(args, out, rep: bridge.SplittingReport, op: str, extra: dict) -> int:
-    if args.json:
-        payload = {"v": SCHEMA_VERSION, "op": op}
-        payload.update(extra)
-        payload.update(report_to_jsonable(rep))
-        print(_dump(payload), file=out)
-    else:
-        print(f"{rep.subject}  ({rep.splitting[0]},{rep.splitting[1]})-splitting", file=out)
-        for key, value in extra.items():
-            print(f"{key} {value}", file=out)
-        print(f"distance {rep.distance}", file=out)
-        print(f"case {rep.case}", file=out)
-        print(f"keen {_tri(rep.keen)}", file=out)
-        print(f"strongly_keen {_tri(rep.strongly_keen)}", file=out)
-        if rep.note:
-            print(f"note {rep.note}", file=out)
-        if rep.geodesics is not None:
-            for p in rep.geodesics.paths:
-                print(str(p), file=out)
-    return 0
+def _classify_2bridge(args) -> dict:
+    link = bridge.TwoBridgeLink(args.q, args.p)
+    rep = bridge.classify_02(link, cap=args.geo_cap)
+    if args.oracle:
+        _oracle_check_geodesics(rep.geodesics)
+    return {
+        "slope": str(link.slope),
+        "components": bridge.components(link),
+        **report_to_jsonable(rep),
+    }
+
+
+def _classify_03(args) -> dict:
+    composite = bridge.CompositeLink(tuple(args.summands))
+    return {
+        "summands": [str(s) for s in composite.summands],
+        **report_to_jsonable(bridge.classify_03(composite)),
+    }
+
+
+def _gen_keen(args) -> dict:
+    entries = args.entries or [3] * (args.n - 1)
+    link = bridge.make_strongly_keen_example(args.n, entries)
+    return {
+        "n": args.n,
+        "entries": entries,
+        "link": str(link),
+        "slope": str(link.slope),
+        "distance": args.n,
+        "strongly_keen": True,
+    }
 
 
 def _tri(value: bool | None) -> str:
     return "undetermined" if value is None else str(value).lower()
 
 
-def _cmd_classify_2bridge(args, out, err) -> int:
-    link = bridge.TwoBridgeLink(args.q, args.p)
-    rep = bridge.classify_02(link, cap=args.geo_cap)
-    if args.oracle:
-        problem = _oracle_check_geodesics(rep.geodesics)
-        if problem:
-            print(problem, file=err)
-            return 1
-    extra = {
-        "slope": str(link.slope),
-        "components": bridge.components(link),
-    }
-    return _emit_report(args, out, rep, "classify-2bridge", extra)
+def _geodesics_text(r: dict) -> list[str]:
+    return [
+        f"distance {r['distance']}",
+        f"unique {str(r['unique']).lower()}",
+        *(" -> ".join(p) for p in r["geodesics"]),
+    ]
 
 
-def _cmd_classify_03(args, out) -> int:
-    composite = bridge.CompositeLink(tuple(args.summands))
-    rep = bridge.classify_03(composite)
-    extra = {"summands": [str(s) for s in composite.summands]}
-    if not args.json:
-        extra = {"summands": " ".join(str(s) for s in composite.summands)}
-    return _emit_report(args, out, rep, "classify-03", extra)
+def _ladder_text(r: dict) -> list[str]:
+    spine = r["spine"]
+    return [
+        f"type ({','.join(map(str, r['type']))})",
+        f"triangles {r['triangles']}",
+        "pivots " + " ".join(r["pivots"]),
+        "spine (undefined: fewer than 3 triangles)" if spine is None
+        else "spine " + " ".join(spine),
+    ]
 
 
-def _cmd_gen_keen(args, out) -> int:
-    entries = tuple(args.entries) if args.entries else None
-    link = bridge.make_strongly_keen_example(args.n, entries)
-    used = entries if entries is not None else (3,) * (args.n - 1)
-    if args.json:
-        print(
-            _dump(
-                {
-                    "v": SCHEMA_VERSION,
-                    "op": "gen-keen",
-                    "n": args.n,
-                    "entries": list(used),
-                    "link": str(link),
-                    "slope": str(link.slope),
-                    "distance": args.n,
-                    "strongly_keen": True,
-                }
-            ),
-            file=out,
-        )
-    else:
-        print(
-            f"{link}  slope {link.slope}  distance {args.n}  strongly keen",
-            file=out,
-        )
-    return 0
+def _report_text(r: dict) -> list[str]:
+    """The command's own fields, which precede "subject", then the report."""
+    split = r["splitting"]
+    lines = [f"{r['subject']}  ({split[0]},{split[1]})-splitting"]
+    for key, value in r.items():
+        if key == "subject":
+            break
+        lines.append(f"{key} {' '.join(value) if isinstance(value, list) else value}")
+    lines += [
+        f"distance {r['distance']}",
+        f"case {r['case']}",
+        f"keen {_tri(r['keen'])}",
+        f"strongly_keen {_tri(r['strongly_keen'])}",
+    ]
+    if r["note"]:
+        lines.append(f"note {r['note']}")
+    return lines + [" -> ".join(p) for p in r.get("geodesics", ())]
+
+
+_COMMANDS = {
+    "cf": (_cf, lambda r: ["[" + ",".join(map(str, r["cf"])) + "]"]),
+    "eval": (_eval, lambda r: [r["slope"]]),
+    "distance": (_distance, lambda r: [str(r["distance"])]),
+    "geodesics": (_geodesics, _geodesics_text),
+    "ladder": (_ladder, _ladder_text),
+    "classify-2bridge": (_classify_2bridge, _report_text),
+    "classify-03": (_classify_03, _report_text),
+    "gen-keen": (
+        _gen_keen,
+        lambda r: [f"{r['link']}  slope {r['slope']}  distance {r['n']}  strongly keen"],
+    ),
+}
 
 
 def run(argv: list[str], out=None, err=None) -> int:
@@ -447,30 +382,22 @@ def run(argv: list[str], out=None, err=None) -> int:
     except SystemExit as e:  # --help and friends
         return int(e.code or 0)
 
+    handler, text = _COMMANDS[args.command]
     try:
-        if args.command == "cf":
-            return _cmd_cf(args, out)
-        if args.command == "eval":
-            return _cmd_eval(args, out)
-        if args.command == "distance":
-            return _cmd_distance(args, out, err)
-        if args.command == "geodesics":
-            return _cmd_geodesics(args, out, err)
-        if args.command == "ladder":
-            return _cmd_ladder(args, out)
-        if args.command == "classify-2bridge":
-            return _cmd_classify_2bridge(args, out, err)
-        if args.command == "classify-03":
-            return _cmd_classify_03(args, out)
-        if args.command == "gen-keen":
-            return _cmd_gen_keen(args, out)
-        raise AssertionError(f"unhandled command {args.command}")
+        result = handler(args)
     except ResourceLimit as e:
         print(f"resource limit: {e}", file=err)
         return 2
-    except (DomainError, FareyBridgeError) as e:
+    except FareyBridgeError as e:
         print(f"error: {e}", file=err)
         return 1
+    if isinstance(result, str):
+        out.write(result)
+    elif args.json:
+        print(_dump({"v": SCHEMA_VERSION, "op": args.command, **result}), file=out)
+    else:
+        print("\n".join(text(result)), file=out)
+    return 0
 
 
 def main() -> None:

@@ -81,6 +81,15 @@ def _sort_key(v: ExtendedRational) -> tuple[int, int]:
     return (v.p, v.q)
 
 
+def _trusted(cls, **fields):
+    """An instance of a frozen dataclass built without __post_init__, for
+    values this module constructed and that hold its invariants already."""
+    obj = object.__new__(cls)
+    for name, value in fields.items():
+        object.__setattr__(obj, name, value)
+    return obj
+
+
 @dataclass(frozen=True, slots=True)
 class FareyTriangle:
     """Three pairwise adjacent slopes plus the side label of its fan."""
@@ -260,7 +269,7 @@ def ladder(
             vs = sorted(
                 (pivot, mapped(sp, sq), mapped(tp, tq)), key=_sort_key
             )
-            triangles.append(FareyTriangle(tuple(vs), label))
+            triangles.append(_trusted(FareyTriangle, vertices=tuple(vs), label=label))
             sp, sq = tp, tq
         cp, cq, dp, dq = dp, dq, sp, sq
 
@@ -407,8 +416,10 @@ def all_geodesics(
             stack.append((i - 2, (rank[i - 2], rank[len(conv) + i - 2]) + tail))
     raw.sort()
     ordered = [vertices[j] for j in order]
-    paths = tuple(FareyPath(tuple(map(ordered.__getitem__, path))) for path in raw)
-    return GeodesicSet(x, y, dist[-1], paths)
+    paths = tuple(
+        _trusted(FareyPath, vertices=tuple(map(ordered.__getitem__, path))) for path in raw
+    )
+    return _trusted(GeodesicSet, source=x, target=y, length=dist[-1], paths=paths)
 
 
 def is_unique_geodesic(x: ExtendedRational, y: ExtendedRational) -> bool:

@@ -2,12 +2,13 @@ from __future__ import annotations
 
 import io
 import json
+import pathlib
 import subprocess
 import sys
 
 import pytest
 
-from fareybridge import bridge, farey
+from fareybridge import bridge, farey, oracle
 from fareybridge.cli import (
     geodesic_set_from_jsonable,
     geodesic_set_to_jsonable,
@@ -15,6 +16,7 @@ from fareybridge.cli import (
     report_to_jsonable,
     run,
 )
+from fareybridge.errors import DomainError
 from fareybridge.rationals import INFINITY, cf_eval, parse_slope
 
 sl = parse_slope
@@ -192,6 +194,50 @@ def test_oracle_flag_accepts_correct_results():
         assert code == 0, err
 
 
+def test_oracle_mismatch_exits_1_with_an_error_prefix(monkeypatch):
+    monkeypatch.setattr(oracle, "bounded_distance", lambda x, y, bound: 99)
+    monkeypatch.setattr(
+        oracle,
+        "bruteforce_geodesics",
+        lambda x, y, bound: farey.all_geodesics(INFINITY, sl("1/3")),
+    )
+    for argv in (
+        ("distance", "1/0", "19/42"),
+        ("geodesics", "1/0", "1/2"),
+        ("classify-2bridge", "10", "3"),
+    ):
+        for flags in (("--oracle",), ("--json", "--oracle")):
+            code, out, err = invoke(*flags, *argv)
+            assert (code, out) == (1, ""), argv
+            assert err.startswith("error: oracle disagrees"), err
+
+
+# ---------------------------------------------------------------- JSON readers
+
+def _without_interior_vertex(doc: dict) -> dict:
+    path = doc["geodesics"][0]
+    return dict(doc, geodesics=[path[:1] + path[2:]], distance=len(path) - 2)
+
+
+@pytest.mark.parametrize(
+    "argv, reader",
+    [
+        (("geodesics", "1/0", "19/42"), geodesic_set_from_jsonable),
+        (("classify-2bridge", "42", "19"), report_from_jsonable),
+    ],
+)
+def test_readers_reject_inconsistent_geodesics(argv, reader):
+    doc = invoke_json(*argv)
+    assert doc["distance"] == 4
+    for bad in (
+        dict(doc, geodesics=[]),
+        dict(doc, distance=7),
+        _without_interior_vertex(doc),
+    ):
+        with pytest.raises(DomainError):
+            reader(bad)
+
+
 # ---------------------------------------------------------------- failure modes
 
 def test_usage_errors_exit_64():
@@ -250,3 +296,15 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert proc.stdout == "[3,3]\n"
+
+
+# ---------------------------------------------------------------- golden output
+
+_GOLDEN = json.loads(
+    (pathlib.Path(__file__).parent / "data" / "cli_golden.json").read_text()
+)
+
+
+@pytest.mark.parametrize("case", _GOLDEN, ids=lambda c: " ".join(c["argv"]) or "(no args)")
+def test_golden_output(case):
+    assert invoke(*case["argv"]) == (case["exit"], case["stdout"], case["stderr"])

@@ -301,3 +301,28 @@ def test_enumeration_cap_is_checked_against_the_count():
         assert len(all_geodesics(INFINITY, y, cap=n).paths) == n
         with pytest.raises(EnumerationOverflow, match=f"^{n} geodesics.*cap is {n - 1}$"):
             all_geodesics(INFINITY, y, cap=n - 1)
+
+
+def test_library_built_objects_are_not_rechecked(monkeypatch):
+    pairs = [(INFINITY, cf_eval([5] + [2] * 8 + [7])), (sl("1/3"), sl("3/4"))]
+    pairs += _moved_pairs(11, 4)
+    want = [(ladder(x, y), all_geodesics(x, y)) for x, y in pairs]
+    for l, gs in want:  # the public constructors accept what the library built
+        for t in l.triangles:
+            assert FareyTriangle(t.vertices, t.label) == t
+        paths = tuple(FareyPath(p.vertices) for p in gs.paths)
+        assert GeodesicSet(gs.source, gs.target, gs.length, paths) == gs
+
+    real_is_adjacent = farey.is_adjacent
+
+    def endpoints_only(u, v):
+        if {u, v} not in ({x, y} for x, y in pairs):
+            raise AssertionError(f"edge {u} -- {v} re-checked")
+        return real_is_adjacent(u, v)
+
+    def no_det(u, v):
+        raise AssertionError("triangle re-checked")
+
+    monkeypatch.setattr(farey, "is_adjacent", endpoints_only)
+    monkeypatch.setattr(farey, "det", no_det)
+    assert [(ladder(x, y), all_geodesics(x, y)) for x, y in pairs] == want
