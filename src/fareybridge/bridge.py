@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from . import farey
 from .errors import DomainError
 from .farey import GeodesicSet
-from .rationals import INFINITY, ExtendedRational, cf_eval
+from .rationals import INFINITY, ExtendedRational, _int_text, cf_eval
 
 __all__ = [
     "TwoBridgeLink",
@@ -89,7 +89,7 @@ class TwoBridgeLink:
         return self.q == 0
 
     def __str__(self) -> str:
-        return f"S({self.q},{self.p})"
+        return f"S({_int_text(self.q)},{_int_text(self.p)})"
 
 
 def components(link: TwoBridgeLink) -> int:

@@ -21,7 +21,7 @@ from .errors import (
     SpineUndefined,
 )
 from .farey import FareyPath, GeodesicSet
-from .rationals import ExtendedRational, cf_eval, cf_expand, parse_slope
+from .rationals import ExtendedRational, _int_text, cf_eval, cf_expand, parse_slope
 
 __all__ = [
     "main",
@@ -101,7 +101,21 @@ def report_from_jsonable(d: dict) -> bridge.SplittingReport:
 
 
 def _dump(payload: dict) -> str:
-    return json.dumps(payload, separators=(",", ":"))
+    try:
+        return json.dumps(payload, separators=(",", ":"))
+    except ValueError:  # an int past sys.int_max_str_digits, e.g. a cf entry
+        return _dump_value(payload)
+
+
+def _dump_value(v) -> str:
+    """What json.dumps writes for v with compact separators, ints at any size."""
+    if isinstance(v, dict):
+        return "{" + ",".join(f"{json.dumps(k)}:{_dump_value(w)}" for k, w in v.items()) + "}"
+    if isinstance(v, list):
+        return "[" + ",".join(map(_dump_value, v)) + "]"
+    if type(v) is int:
+        return _int_text(v)
+    return json.dumps(v)
 
 
 # ---------------------------------------------------------------- arg parsing
@@ -355,7 +369,7 @@ def _report_text(r: dict) -> list[str]:
 
 
 _COMMANDS = {
-    "cf": (_cf, lambda r: ["[" + ",".join(map(str, r["cf"])) + "]"]),
+    "cf": (_cf, lambda r: ["[" + ",".join(map(_int_text, r["cf"])) + "]"]),
     "eval": (_eval, lambda r: [r["slope"]]),
     "distance": (_distance, lambda r: [str(r["distance"])]),
     "geodesics": (_geodesics, _geodesics_text),

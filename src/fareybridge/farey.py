@@ -31,6 +31,7 @@ from .errors import (
 from .rationals import (
     ZERO,
     ExtendedRational,
+    _int_text,
     cf_expand,
     det,
     is_adjacent,
@@ -145,8 +146,10 @@ class Ladder:
     """Ordered triangle strip between two non-adjacent slopes.
 
     runs are the L/R run lengths (the type); pivots are the fan centers,
-    one per run, in strip order.  Triangle i and triangle i+1 always share
-    an edge; triangles further apart share at most one vertex.
+    one per run, in strip order; rims are the fans' outer chains, run k's
+    from x (k = 0) or the previous pivot through run length + 1 vertices.
+    Triangle i and triangle i+1 always share an edge; triangles further
+    apart share at most one vertex.
     """
 
     x: ExtendedRational
@@ -154,12 +157,17 @@ class Ladder:
     triangles: tuple[FareyTriangle, ...]
     runs: tuple[int, ...]
     pivots: tuple[ExtendedRational, ...]
+    rims: tuple[tuple[ExtendedRational, ...], ...]
 
     def __post_init__(self):
         if len(self.pivots) != len(self.runs):
             raise DomainError("one pivot per run required")
         if sum(self.runs) != len(self.triangles):
             raise DomainError("run lengths must sum to the triangle count")
+        if len(self.rims) != len(self.runs) or any(
+            len(rim) != a + 1 for rim, a in zip(self.rims, self.runs)
+        ):
+            raise DomainError("one rim of run length + 1 vertices per run required")
 
     @property
     def triangle_count(self) -> int:
@@ -240,7 +248,7 @@ def ladder(
     n_vertices = sum(cf.entries) + 2
     if n_vertices > cap:
         raise LadderTooLarge(
-            f"ladder needs {n_vertices} vertices, cap is {cap}"
+            f"ladder needs {_int_text(n_vertices)} vertices, cap is {cap}"
         )
 
     inv = m.inverse()
@@ -255,6 +263,7 @@ def ladder(
 
     triangles: list[FareyTriangle] = []
     pivots: list[ExtendedRational] = []
+    rims: list[tuple[ExtendedRational, ...]] = []
     # Convergent frame: c_{-1} = 1/0, c_0 = 0/1; fan i pivots around c_{i-1}
     # and its rim walks the mediants from c_{i-2} up to c_i.
     cp, cq = 1, 0
@@ -263,17 +272,15 @@ def ladder(
         label = "L" if i % 2 == 0 else "R"
         pivot = mapped(dp, dq)
         pivots.append(pivot)
-        sp, sq = cp, cq
+        rim = [mapped(cp, cq)]
         for j in range(1, a + 1):
-            tp, tq = cp + j * dp, cq + j * dq
-            vs = sorted(
-                (pivot, mapped(sp, sq), mapped(tp, tq)), key=_sort_key
-            )
+            rim.append(mapped(cp + j * dp, cq + j * dq))
+            vs = sorted((pivot, rim[-2], rim[-1]), key=_sort_key)
             triangles.append(_trusted(FareyTriangle, vertices=tuple(vs), label=label))
-            sp, sq = tp, tq
-        cp, cq, dp, dq = dp, dq, sp, sq
+        rims.append(tuple(rim))
+        cp, cq, dp, dq = dp, dq, cp + a * dp, cq + a * dq
 
-    return Ladder(x, y, tuple(triangles), cf.entries, tuple(pivots))
+    return Ladder(x, y, tuple(triangles), cf.entries, tuple(pivots), tuple(rims))
 
 
 def ladder_type(l: Ladder) -> tuple[int, ...]:

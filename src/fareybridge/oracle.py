@@ -8,8 +8,9 @@ BFS.  Distances in the bounded graph can only overshoot the true ones,
 and they stop changing once N is large enough to contain every vertex a
 shortest path needs, which is what stabilized_distance waits for.
 
-BFS results are memoized per (bound, source); the cached values are what
-a fresh run would return.
+One BFS distance map is cached per (bound, source), and it is what a
+fresh run would return.  Distances are read from it, and geodesics are
+walked back off it one layer at a time, without recursion.
 """
 
 from __future__ import annotations
@@ -81,13 +82,12 @@ class BoundedSubgraph:
     """Induced subgraph on slopes with |p| <= bound and q <= bound.
 
     Adjacency is generated on the fly from the determinant condition —
-    nothing per-vertex is stored, so large bounds cost time, not memory.
-    Only whole BFS results are cached (per source).
+    nothing per-vertex is stored beyond one cached BFS distance map per
+    source, from which both distances and geodesics are read.
     """
 
     bound: int
     _dist_maps: dict = field(default_factory=dict, repr=False)
-    _pred_maps: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
         if self.bound < 1:
@@ -145,31 +145,6 @@ class BoundedSubgraph:
                     queue.append(w)
         self._dist_maps[src] = dist
         return dist
-
-    def predecessors_from(
-        self, src: tuple[int, int]
-    ) -> tuple[dict, dict]:
-        """(dist, preds): preds[v] lists the BFS-layer parents of v."""
-        cached = self._pred_maps.get(src)
-        if cached is not None:
-            return cached
-        adjacent = self._adjacent
-        dist = {src: 0}
-        preds: dict[tuple[int, int], list] = {src: []}
-        queue = deque((src,))
-        while queue:
-            u = queue.popleft()
-            nd = dist[u] + 1
-            for w in adjacent(*u):
-                d = dist.get(w)
-                if d is None:
-                    dist[w] = nd
-                    preds[w] = [u]
-                    queue.append(w)
-                elif d == nd:
-                    preds[w].append(u)
-        self._pred_maps[src] = (dist, preds)
-        return dist, preds
 
 
 _SUBGRAPHS: OrderedDict[int, BoundedSubgraph] = OrderedDict()
@@ -251,8 +226,11 @@ def bruteforce_geodesics(
 ) -> GeodesicSet:
     """Every shortest x->y path within the bound, as a GeodesicSet.
 
-    Enumeration is its own recursive walk over the BFS predecessor DAG so
-    that no path-listing code is shared with the ladder side.
+    Read back off the cached distance map of x: the predecessors of a vertex
+    are its in-bound neighbors one BFS layer closer to x.  Paths are counted
+    forward over those layers, the cap is checked against the count, and
+    then they are listed with an explicit stack, no recursion; no
+    path-listing code is shared with the ladder side.
     """
     cap_value = _resolve_cap(cap, GEO_CAP_ENV, DEFAULT_GEO_CAP)
     sg = subgraph(bound)
@@ -260,42 +238,36 @@ def bruteforce_geodesics(
     yv = _check_inside(sg, y)
     if xv == yv:
         return GeodesicSet(x, y, 0, (FareyPath((x,)),))
-    dist, preds = sg.predecessors_from(xv)
-    if yv not in dist:
+    dist = sg.distances_from(xv)
+    length = dist.get(yv)
+    if length is None:
         raise DomainError(f"{y} unreachable from {x} at bound {bound}")
 
-    counts: dict[tuple[int, int], int] = {xv: 1}
-
-    def count(v) -> int:
-        c = counts.get(v)
-        if c is None:
-            c = sum(count(u) for u in preds[v])
-            counts[v] = c
-        return c
-
-    total = count(yv)
-    if total > cap_value:
+    preds: dict[tuple[int, int], list[tuple[int, int]]] = {}
+    layer = {yv}
+    for k in range(length - 1, -1, -1):
+        for v in layer:
+            preds[v] = [u for u in sg._adjacent(*v) if dist[u] == k]
+        layer = {u for v in layer for u in preds[v]}
+    # preds was filled from y back, one layer at a time, so its reverse
+    # meets every vertex after all of its predecessors.
+    counts = {xv: 1}
+    for v in reversed(preds):
+        counts[v] = sum(counts[u] for u in preds[v])
+    if counts[yv] > cap_value:
         raise EnumerationOverflow(
-            f"{total} geodesics for {x} -> {y} at bound {bound}, cap is {cap_value}"
+            f"{counts[yv]} geodesics for {x} -> {y} at bound {bound}, cap is {cap_value}"
         )
 
-    slopes: dict[tuple[int, int], ExtendedRational] = {}
-
-    def slope_of(v: tuple[int, int]) -> ExtendedRational:
-        s = slopes.get(v)
-        if s is None:
-            s = ExtendedRational(*v)
-            slopes[v] = s
-        return s
-
-    def walk(v):
+    raw: list[tuple[tuple[int, int], ...]] = []
+    stack = [(yv, (yv,))]
+    while stack:
+        v, tail = stack.pop()
         if v == xv:
-            yield (v,)
-            return
+            raw.append(tail)
+            continue
         for u in preds[v]:
-            for tail in walk(u):
-                yield tail + (v,)
-
-    raw = sorted(walk(yv))
-    paths = tuple(FareyPath(tuple(slope_of(v) for v in p)) for p in raw)
-    return GeodesicSet(x, y, dist[yv], paths)
+            stack.append((u, (u,) + tail))
+    raw.sort()
+    paths = tuple(FareyPath(tuple(ExtendedRational(*v) for v in p)) for p in raw)
+    return GeodesicSet(x, y, length, paths)

@@ -15,29 +15,9 @@ from .rationals import ExtendedRational
 __all__ = ["render_ascii", "render_svg", "fan_chains"]
 
 
-def fan_chains(l: Ladder) -> list[tuple[ExtendedRational, list[ExtendedRational]]]:
-    """Per run: (pivot, rim chain).  Rim k starts where rim k-1's pivot sits.
-
-    Reconstructed from the triangle list; run j's rim begins at x for j = 0
-    and at the previous pivot otherwise, and each triangle contributes the
-    one vertex that is neither the pivot nor the current rim front.
-    """
-    chains = []
-    idx = 0
-    for j, run_len in enumerate(l.runs):
-        pivot = l.pivots[j]
-        front = l.x if j == 0 else l.pivots[j - 1]
-        rim = [front]
-        for _ in range(run_len):
-            tri = l.triangles[idx]
-            rest = [v for v in tri.vertices if v != pivot and v != front]
-            if len(rest) != 1 or pivot not in tri.vertices:
-                raise AssertionError(f"triangle {tri} does not continue fan {j}")
-            front = rest[0]
-            rim.append(front)
-            idx += 1
-        chains.append((pivot, rim))
-    return chains
+def fan_chains(l: Ladder) -> list[tuple[ExtendedRational, tuple[ExtendedRational, ...]]]:
+    """Per run: (pivot, rim chain).  Rim k starts where rim k-1's pivot sits."""
+    return list(zip(l.pivots, l.rims))
 
 
 def _layout(l: Ladder) -> dict[ExtendedRational, tuple[int, int]]:

@@ -308,3 +308,30 @@ _GOLDEN = json.loads(
 @pytest.mark.parametrize("case", _GOLDEN, ids=lambda c: " ".join(c["argv"]) or "(no args)")
 def test_golden_output(case):
     assert invoke(*case["argv"]) == (case["exit"], case["stdout"], case["stderr"])
+
+
+# ---------------------------------------------------------------- huge integers
+
+def test_slopes_past_the_int_str_digit_limit_are_written_exactly():
+    slope = bridge.make_strongly_keen_example(9000, [3] * 8999).slope
+    code, out, err = invoke("gen-keen", "9000")
+    assert (code, err) == (0, "")
+    assert parse_slope(out.split("  slope ")[1].split()[0]) == slope
+    d = invoke_json("gen-keen", "9000")
+    assert parse_slope(d["slope"]) == slope
+    code, out, err = invoke("eval", ",".join(["3"] * 9000))
+    assert (code, err) == (0, "")
+    assert parse_slope(out) == cf_eval([3] * 9000)
+
+
+def test_entries_past_the_int_str_digit_limit():
+    nines = "9" * 5000
+    code, out, err = invoke("cf", "1/" + nines)
+    assert (code, out, err) == (0, f"[{nines}]\n", "")
+    code, out, err = invoke("--json", "cf", "1/" + nines)
+    assert (code, err) == (0, "")
+    assert out == f'{{"v":1,"op":"cf","slope":"1/{nines}","cf":[{nines}]}}\n'
+    for cmd in ("distance", "ladder"):
+        code, out, err = invoke(cmd, "1/0", "1/" + nines)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"resource limit: ladder needs 1{'0' * 4999}1 vertices")

@@ -326,3 +326,17 @@ def test_library_built_objects_are_not_rechecked(monkeypatch):
     monkeypatch.setattr(farey, "is_adjacent", endpoints_only)
     monkeypatch.setattr(farey, "det", no_det)
     assert [(ladder(x, y), all_geodesics(x, y)) for x, y in pairs] == want
+
+
+def test_ladder_keeps_the_rim_of_each_fan():
+    l = ladder(INFINITY, sl("19/42"))
+    assert [" ".join(map(str, rim)) for rim in l.rims] == [
+        "1/0 1/1 1/2",
+        "0/1 1/3 2/5 3/7 4/9",
+        "1/2 5/11",
+        "4/9 9/20 14/31 19/42",
+    ]
+    with pytest.raises(DomainError):
+        farey.Ladder(l.x, l.y, l.triangles, l.runs, l.pivots, l.rims[:-1])
+    with pytest.raises(DomainError):
+        farey.Ladder(l.x, l.y, l.triangles, l.runs, l.pivots, l.rims[:-1] + (l.rims[-1][1:],))

@@ -1,8 +1,10 @@
 from __future__ import annotations
 
+from collections import OrderedDict
+
 import pytest
 
-from fareybridge import farey
+from fareybridge import farey, oracle
 from fareybridge.errors import EnumerationOverflow, OracleBudget, OutOfBound
 from fareybridge.oracle import (
     UNREACHABLE,
@@ -117,3 +119,17 @@ def test_bruteforce_geodesics_cap():
 
 def test_subgraph_cache_returns_same_instance():
     assert subgraph(9) is subgraph(9)
+
+
+def test_geodesics_and_distance_share_one_bfs(monkeypatch):
+    # bruteforce_geodesics reads the cached distance map of x, so a later
+    # bounded_distance for the same (bound, source) needs no adjacency at all.
+    monkeypatch.setattr(oracle, "_SUBGRAPHS", OrderedDict())
+    x, y = INFINITY, sl("19/42")
+    assert bruteforce_geodesics(x, y, 42).length == 4
+
+    def no_bfs(self, p, q):
+        raise AssertionError("second BFS")
+
+    monkeypatch.setattr(BoundedSubgraph, "_adjacent", no_bfs)
+    assert bounded_distance(x, y, 42) == 4

@@ -214,3 +214,15 @@ def test_normalize_pair_reversal_reverses_expansion():
 def test_normalize_pair_rejects_equal_slopes():
     with pytest.raises(DomainError):
         normalize_pair(sl("1/2"), sl("1/2"))
+
+
+def test_parse_slope_and_str_past_the_int_str_digit_limit():
+    # Python refuses int <-> str past 4,300 digits by default; slopes of any
+    # size still parse and print exactly.
+    v = parse_slope("1/" + "9" * 5000)
+    assert v == ExtendedRational(1, 10**5000 - 1)
+    assert str(v) == "1/" + "9" * 5000
+    assert repr(v) == f"ExtendedRational(1, {'9' * 5000})"
+    w = cf_eval([3] * 9000)
+    assert parse_slope(str(w)) == w
+    assert str(cf_expand(reduce(1, 10**5000))) == "[1" + "0" * 5000 + "]"
