@@ -17,9 +17,9 @@ import math
 from dataclasses import dataclass, field
 
 from . import farey
-from .errors import DomainError
+from .errors import DomainError, ResourceLimit
 from .farey import GeodesicSet
-from .rationals import INFINITY, ExtendedRational, _int_text, cf_eval
+from .rationals import INFINITY, ExtendedRational, _int_text, _list_text, cf_eval
 
 __all__ = [
     "TwoBridgeLink",
@@ -65,15 +65,19 @@ class TwoBridgeLink:
 
     def __post_init__(self):
         if self.q < 0:
-            raise DomainError(f"q must be non-negative, got {self.q}")
+            raise DomainError(f"q must be non-negative, got {_int_text(self.q)}")
         if self.q == 0:
             if self.p != 1:
-                raise DomainError(f"S(0, p) requires p = 1, got p = {self.p}")
+                raise DomainError(f"S(0, p) requires p = 1, got p = {_int_text(self.p)}")
             return
         if not 0 <= self.p <= self.q:
-            raise DomainError(f"need 0 <= p <= q, got S({self.q}, {self.p})")
+            raise DomainError(
+                f"need 0 <= p <= q, got S({_int_text(self.q)}, {_int_text(self.p)})"
+            )
         if math.gcd(self.p, self.q) != 1:
-            raise DomainError(f"p, q must be coprime, got S({self.q}, {self.p})")
+            raise DomainError(
+                f"p, q must be coprime, got S({_int_text(self.q)}, {_int_text(self.p)})"
+            )
 
     @property
     def slope(self) -> ExtendedRational:
@@ -141,14 +145,12 @@ class SplittingReport:
             raise DomainError("a keen splitting of distance 1 is strongly keen")
 
 
-def splitting_distance_02(
-    link: TwoBridgeLink, *, vertex_cap: int | None = None
-) -> int:
+def splitting_distance_02(link: TwoBridgeLink) -> int:
     """Distance of the (0,2)-splitting: Farey distance from 1/0 to p/q.
 
     S(1, 0) gives the unknot's value 1; S(0, 1) gives 0.
     """
-    return farey.distance(INFINITY, link.slope, vertex_cap=vertex_cap)
+    return farey.distance(INFINITY, link.slope)
 
 
 def is_keen_02(link: TwoBridgeLink) -> bool:
@@ -230,15 +232,24 @@ def make_strongly_keen_example(
     unique geodesic: slope [a1, ..., a_{n-1}] with every entry >= 3.
 
     Default entries are all 3s: n = 2 gives S(3,1), n = 3 gives S(10,3).
+    Raises ResourceLimit when n - 1 default entries do not fit in memory.
     """
     if n < 2:
-        raise DomainError(f"need n >= 2, got {n}")
+        raise DomainError(f"need n >= 2, got {_int_text(n)}")
     if entries is None:
-        entries = (3,) * (n - 1)
+        try:
+            entries = (3,) * (n - 1)
+        except (MemoryError, OverflowError):
+            raise ResourceLimit(
+                f"{_int_text(n - 1)} default entries do not fit in memory"
+            ) from None
     entries = tuple(entries)
     if len(entries) != n - 1:
-        raise DomainError(f"need {n - 1} entries for distance {n}, got {len(entries)}")
+        raise DomainError(
+            f"need {_int_text(n - 1)} entries for distance {_int_text(n)}, "
+            f"got {len(entries)}"
+        )
     if any(a < 3 for a in entries):
-        raise DomainError(f"entries must all be >= 3, got {list(entries)}")
+        raise DomainError(f"entries must all be >= 3, got {_list_text(entries)}")
     slope = cf_eval(entries)
     return TwoBridgeLink(q=slope.q, p=slope.p)

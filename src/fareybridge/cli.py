@@ -13,15 +13,24 @@ import sys
 
 from . import bridge, farey, oracle, render
 from .errors import (
-    DegenerateLadder,
     DomainError,
-    EmptyLadder,
     FareyBridgeError,
+    OracleBudget,
     ResourceLimit,
     SpineUndefined,
 )
 from .farey import FareyPath, GeodesicSet
-from .rationals import ExtendedRational, _int_text, cf_eval, cf_expand, parse_slope
+from .rationals import (
+    ZERO,
+    ExtendedRational,
+    _int_text,
+    _parse_int,
+    cf_eval,
+    cf_expand,
+    convergents,
+    normalize_pair,
+    parse_slope,
+)
 
 __all__ = [
     "main",
@@ -136,9 +145,16 @@ def _slope(text: str) -> ExtendedRational:
         raise argparse.ArgumentTypeError(str(e)) from None
 
 
+def _int(text: str) -> int:
+    try:
+        return _parse_int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+
+
 def _entry_list(text: str) -> list[int]:
     try:
-        entries = [int(t) for t in text.replace(" ", "").split(",") if t]
+        entries = [_parse_int(t) for t in text.replace(" ", "").split(",") if t]
     except ValueError:
         raise argparse.ArgumentTypeError(f"not a comma-separated int list: {text!r}")
     if not entries:
@@ -151,7 +167,7 @@ def _qp(text: str) -> bridge.TwoBridgeLink:
     if len(parts) != 2:
         raise argparse.ArgumentTypeError(f"expected q/p, got {text!r}")
     try:
-        q, p = int(parts[0]), int(parts[1])
+        q, p = _parse_int(parts[0]), _parse_int(parts[1])
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected integers q/p, got {text!r}")
     try:
@@ -171,8 +187,8 @@ def _build_parser() -> _Parser:
         action="store_true",
         help="re-check distance/geodesic results against the brute-force oracle",
     )
-    parser.add_argument("--ladder-cap", type=int, help="max ladder vertices (ladder, distance)")
-    parser.add_argument("--geo-cap", type=int, help="max enumerated geodesics")
+    parser.add_argument("--ladder-cap", type=_int, help="max ladder vertices (ladder, distance)")
+    parser.add_argument("--geo-cap", type=_int, help="max enumerated geodesics")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("cf", help="continued fraction of a slope in [0,1)")
@@ -195,8 +211,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--render", choices=("ascii", "svg"), help="draw the strip")
 
     p = sub.add_parser("classify-2bridge", help="(0,2)-splitting report for S(q,p)")
-    p.add_argument("q", type=int)
-    p.add_argument("p", type=int)
+    p.add_argument("q", type=_int)
+    p.add_argument("p", type=_int)
 
     p = sub.add_parser(
         "classify-03", help="(0,3)-splitting report for S(q1,p1) [# S(q2,p2)]"
@@ -206,7 +222,7 @@ def _build_parser() -> _Parser:
     p = sub.add_parser(
         "gen-keen", help="2-bridge link with strongly keen (0,2)-splitting, distance n"
     )
-    p.add_argument("n", type=int)
+    p.add_argument("n", type=_int)
     p.add_argument("--entries", type=_entry_list, help="CF entries, all >= 3, length n-1")
 
     return parser
@@ -215,13 +231,20 @@ def _build_parser() -> _Parser:
 # ---------------------------------------------------------------- oracle check
 
 def _oracle_bound(x: ExtendedRational, y: ExtendedRational) -> int:
-    """A bound provably containing every geodesic between x and y: the box
-    around all ladder vertices (or just the endpoints when no ladder exists)."""
-    try:
-        verts = farey.ladder(x, y).vertices()
-    except (EmptyLadder, DegenerateLadder):
-        verts = (x, y)
-    return max(1, *(max(abs(v.p), v.q) for v in verts))
+    """The box around the convergents 1/0, 0/1, c_1, ..., c_n of the
+    normalized pair, mapped back.  Ladder vertices are c_{k-2} + j*c_{k-1},
+    0 <= j <= a_k, mapped back linearly, so their |p| and q are convex in j
+    and peak at a convergent: the box holds the ladder, so every geodesic,
+    and no ladder is built.  Over the oracle budget: OracleBudget, no BFS."""
+    corners = [x]
+    if x != y:
+        m, image = normalize_pair(x, y)
+        corners += map(m.inverse().apply, (ZERO, *convergents(cf_expand(image))))
+    bound = max(max(abs(v.p), v.q) for v in corners)
+    budget = oracle.DEFAULT_ORACLE_BUDGET
+    if bound > budget:
+        raise OracleBudget(f"oracle check would need bound {_int_text(bound)} > budget {budget}")
+    return bound
 
 
 def _oracle_check_distance(x, y, got: int) -> None:
@@ -314,11 +337,10 @@ def _classify_03(args) -> dict:
 
 
 def _gen_keen(args) -> dict:
-    entries = args.entries or [3] * (args.n - 1)
-    link = bridge.make_strongly_keen_example(args.n, entries)
+    link = bridge.make_strongly_keen_example(args.n, args.entries)
     return {
         "n": args.n,
-        "entries": entries,
+        "entries": list(cf_expand(link.slope).entries),
         "link": str(link),
         "slope": str(link.slope),
         "distance": args.n,

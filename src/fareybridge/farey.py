@@ -64,7 +64,7 @@ GEO_CAP_ENV = "FAREY_GEO_CAP"
 def _resolve_cap(explicit: int | None, env_name: str, default: int) -> int:
     if explicit is not None:
         if explicit < 1:
-            raise DomainError(f"cap must be positive, got {explicit}")
+            raise DomainError(f"cap must be positive, got {_int_text(explicit)}")
         return explicit
     raw = os.environ.get(env_name)
     if raw:
@@ -392,7 +392,7 @@ def all_geodesics(
     m, entries, conv, dist, count = _skeleton(x, y)
     if count[-1] > cap_value:
         raise EnumerationOverflow(
-            f"{count[-1]} geodesics for {x} -> {y}, cap is {cap_value}"
+            f"{_int_text(count[-1])} geodesics for {x} -> {y}, cap is {_int_text(cap_value)}"
         )
     # Every vertex a geodesic can visit, each mapped back once: the
     # convergents, then the mediant before node i at len(conv) + i - 2.

@@ -2,9 +2,9 @@
 
 Deliberately independent of the ladder machinery: vertices are all
 canonical slopes with |p| <= N and q <= N, neighbors are generated
-directly from the determinant condition (solutions of p*s - q*r = +-1
-form two arithmetic families), and distances/geodesics come from plain
-BFS.  Distances in the bounded graph can only overshoot the true ones,
+directly from the determinant condition (the solutions of p*s - q*r = +-1
+are, up to sign, one arithmetic family), and distances/geodesics come from
+plain BFS.  Distances in the bounded graph can only overshoot the true ones,
 and they stop changing once N is large enough to contain every vertex a
 shortest path needs, which is what stabilized_distance waits for.
 
@@ -32,7 +32,7 @@ __all__ = [
     "DEFAULT_ORACLE_BUDGET",
 ]
 
-DEFAULT_ORACLE_BUDGET = 8192  # largest bound stabilized_distance may visit
+DEFAULT_ORACLE_BUDGET = 8192  # largest bound stabilized_distance or the CLI check may visit
 
 
 class _Unreachable:
@@ -99,29 +99,25 @@ class BoundedSubgraph:
     def _adjacent(self, p: int, q: int):
         """Yield each in-bound (r, s) with |p*s - q*r| = 1 exactly once.
 
-        The solutions of p*s - q*r = 1 are (-v + t*p, u + t*q) for
-        u*p + v*q = 1, and likewise (v + t*p, -u + t*q) for -1; sign
-        canonicalization can fold one family onto the other, hence the
-        dedup set.
+        With u*p + v*q = g = +-1, the solutions of p*s - q*r = g are the one
+        family (t*p - v, t*q + u), and those of -g are the same pairs negated;
+        so t runs over the range keeping |r|, |s| <= bound and each pair gets
+        its canonical sign.
         """
         n = self.bound
         _, u, v = _xgcd(p, q)
-        seen: set[tuple[int, int]] = set()
-        for r0, s0 in ((-v, u), (v, -u)):
-            if p:
-                t_lo, t_hi = _t_range(r0, p, -n, n)
-                if q:
-                    s_lo, s_hi = _t_range(s0, q, -n, n)
-                    t_lo, t_hi = max(t_lo, s_lo), min(t_hi, s_hi)
-            else:
-                t_lo, t_hi = _t_range(s0, q, -n, n)
-            for t in range(t_lo, t_hi + 1):
-                r, s = r0 + t * p, s0 + t * q
-                if s < 0 or (s == 0 and r < 0):
-                    r, s = -r, -s
-                if abs(r) <= n and s <= n and (r, s) not in seen:
-                    seen.add((r, s))
-                    yield r, s
+        if p:
+            t_lo, t_hi = _t_range(-v, p, -n, n)
+            if q:
+                s_lo, s_hi = _t_range(u, q, -n, n)
+                t_lo, t_hi = max(t_lo, s_lo), min(t_hi, s_hi)
+        else:
+            t_lo, t_hi = _t_range(u, q, -n, n)
+        for t in range(t_lo, t_hi + 1):
+            r, s = t * p - v, t * q + u
+            if s < 0 or (s == 0 and r < 0):
+                r, s = -r, -s
+            yield r, s
 
     def neighbors(self, v: ExtendedRational) -> tuple[ExtendedRational, ...]:
         """All in-bound slopes adjacent to v, in slope order."""

@@ -40,12 +40,13 @@ __all__ = [
 ]
 
 _SLOPE_RE = re.compile(r"^(-?\d+)(?:/(-?\d+))?$")
+_INT_RE = re.compile(r"[+-]?\d+")
 
 
 def _int_text(n: int) -> str:
     """str(n), also past sys.int_max_str_digits, where str raises ValueError.
 
-    decimal is imported only on that path, here and in parse_slope: at
+    decimal is imported only on that path, here and in _parse_int: at
     module level it would add about 1.5 ms to every process start.
     """
     try:
@@ -54,6 +55,29 @@ def _int_text(n: int) -> str:
         import decimal
 
         return str(decimal.Decimal(n))
+
+
+def _list_text(ns) -> str:
+    """str(list(ns)) for ints, also past sys.int_max_str_digits."""
+    return "[" + ", ".join(map(_int_text, ns)) + "]"
+
+
+def _parse_int(text: str) -> int:
+    """int(text), also past sys.int_max_str_digits for plain decimal digits.
+
+    Anything else int() refuses still raises its ValueError.
+
+    >>> _parse_int("-12")
+    -12
+    """
+    try:
+        return int(text)
+    except ValueError:
+        if not _INT_RE.fullmatch(text.strip()):
+            raise
+        import decimal
+
+        return int(decimal.Decimal(text))
 
 
 @total_ordering
@@ -136,14 +160,7 @@ def parse_slope(text: str) -> ExtendedRational:
     m = _SLOPE_RE.match(text.strip())
     if not m:
         raise DomainError(f"cannot parse slope: {text!r}")
-    num, den = m.group(1), m.group(2) or "1"
-    try:
-        p, q = int(num), int(den)
-    except ValueError:  # past sys.int_max_str_digits
-        import decimal
-
-        p, q = int(decimal.Decimal(num)), int(decimal.Decimal(den))
-    return reduce(p, q)
+    return reduce(_parse_int(m.group(1)), _parse_int(m.group(2) or "1"))
 
 
 def det(x: ExtendedRational, y: ExtendedRational) -> int:
@@ -179,9 +196,9 @@ class ContinuedFraction:
         es = tuple(self.entries)
         object.__setattr__(self, "entries", es)
         if any(a < 1 for a in es):
-            raise DomainError(f"entries must be positive: {list(es)}")
+            raise DomainError(f"entries must be positive: {_list_text(es)}")
         if es and es[-1] < 2:
-            raise DomainError(f"canonical form requires last entry >= 2: {list(es)}")
+            raise DomainError(f"canonical form requires last entry >= 2: {_list_text(es)}")
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -233,7 +250,7 @@ def cf_eval(entries: ContinuedFraction | Sequence[int]) -> ExtendedRational:
     else:
         es = tuple(entries)
         if any(a < 1 for a in es):
-            raise DomainError(f"entries must be positive: {list(es)}")
+            raise DomainError(f"entries must be positive: {_list_text(es)}")
     p, q = 0, 1
     for a in reversed(es):
         p, q = q, a * q + p
@@ -251,7 +268,7 @@ def convergents(entries: ContinuedFraction | Sequence[int]) -> tuple[ExtendedRat
     """
     es = entries.entries if isinstance(entries, ContinuedFraction) else tuple(entries)
     if any(a < 1 for a in es):
-        raise DomainError(f"entries must be positive: {list(es)}")
+        raise DomainError(f"entries must be positive: {_list_text(es)}")
     out = []
     h0, k0, h1, k1 = 1, 0, 0, 1  # h/k pairs for c_{-1} = 1/0 and c_0 = 0/1
     for a in es:

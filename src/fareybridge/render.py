@@ -12,19 +12,14 @@ from .farey import Ladder, spine
 from .errors import SpineUndefined
 from .rationals import ExtendedRational
 
-__all__ = ["render_ascii", "render_svg", "fan_chains"]
-
-
-def fan_chains(l: Ladder) -> list[tuple[ExtendedRational, tuple[ExtendedRational, ...]]]:
-    """Per run: (pivot, rim chain).  Rim k starts where rim k-1's pivot sits."""
-    return list(zip(l.pivots, l.rims))
+__all__ = ["render_ascii", "render_svg"]
 
 
 def _layout(l: Ladder) -> dict[ExtendedRational, tuple[int, int]]:
     """vertex -> (slot, rail); rail 0 is the top, 1 the bottom."""
     pos: dict[ExtendedRational, tuple[int, int]] = {}
     slot = 0
-    for j, (pivot, rim) in enumerate(fan_chains(l)):
+    for j, (pivot, rim) in enumerate(zip(l.pivots, l.rims)):
         pivot_rail = 1 if j % 2 == 0 else 0
         if pivot not in pos:
             # Runs after the first reuse an already placed pivot.
@@ -42,7 +37,6 @@ def _layout(l: Ladder) -> dict[ExtendedRational, tuple[int, int]]:
 
 def render_ascii(l: Ladder) -> str:
     """Textual strip: run table, label strip, pivots and spine."""
-    chains = fan_chains(l)
     lines = [
         f"ladder {l.x} -> {l.y}   type ({','.join(map(str, l.runs))})   "
         f"{l.triangle_count} triangles"
@@ -51,7 +45,7 @@ def render_ascii(l: Ladder) -> str:
         ("L" if j % 2 == 0 else "R") * a for j, a in enumerate(l.runs)
     )
     lines.append(f"strip  {strip}")
-    for j, (pivot, rim) in enumerate(chains):
+    for j, (pivot, rim) in enumerate(zip(l.pivots, l.rims)):
         label = "L" if j % 2 == 0 else "R"
         rim_text = " ".join(str(v) for v in rim)
         lines.append(f"run {j + 1}  {label} x{l.runs[j]}  pivot {pivot}  rim {rim_text}")

@@ -2,13 +2,16 @@ from __future__ import annotations
 
 import io
 import json
+import math
 import pathlib
+import random
 import subprocess
 import sys
+import time
 
 import pytest
 
-from fareybridge import bridge, farey, oracle
+from fareybridge import bridge, cli, farey, oracle
 from fareybridge.cli import (
     geodesic_set_from_jsonable,
     geodesic_set_to_jsonable,
@@ -16,8 +19,16 @@ from fareybridge.cli import (
     report_to_jsonable,
     run,
 )
-from fareybridge.errors import DomainError
-from fareybridge.rationals import INFINITY, cf_eval, parse_slope
+from fareybridge.errors import DomainError, OracleBudget, ResourceLimit
+from fareybridge.rationals import (
+    INFINITY,
+    ZERO,
+    MobiusMap,
+    cf_eval,
+    is_adjacent,
+    parse_slope,
+    reduce,
+)
 
 sl = parse_slope
 
@@ -335,3 +346,151 @@ def test_entries_past_the_int_str_digit_limit():
         code, out, err = invoke(cmd, "1/0", "1/" + nines)
         assert (code, out) == (2, "")
         assert err.startswith(f"resource limit: ladder needs 1{'0' * 4999}1 vertices")
+
+
+def test_integer_tokens_past_the_int_str_digit_limit():
+    nines = "9" * 5000
+    code, out, err = invoke("eval", nines + ",3")
+    assert (code, out, err) == (0, f"3/2{'9' * 4999}8\n", "")  # 3/(3*nines + 1)
+    code, out, err = invoke("classify-2bridge", nines, "1")
+    assert (code, err) == (0, "")
+    assert out.splitlines() == [
+        f"S({nines},1)  (0,2)-splitting",
+        f"slope 1/{nines}",
+        "components 1",
+        "distance 2",
+        "case 02",
+        "keen true",
+        "strongly_keen true",
+        f"note {bridge.KEEN_02_NOTE}",
+        f"1/0 -> 0/1 -> 1/{nines}",
+    ]
+    d = invoke_json("classify-2bridge", nines, "1")
+    assert (d["slope"], d["distance"], d["strongly_keen"]) == (f"1/{nines}", 2, True)
+    d = invoke_json("classify-03", f"{nines}/1", "3/1")
+    assert (d["summands"], d["case"]) == ([f"S({nines},1)", "S(3,1)"], "iii")
+    code, out, err = invoke("--json", "gen-keen", "3", "--entries", f"{nines},3")
+    assert (code, err) == (0, "")
+    assert out.startswith(f'{{"v":1,"op":"gen-keen","n":3,"entries":[{nines},3],')
+    assert invoke("--geo-cap", nines, "geodesics", "1/0", "1/2")[0] == 0
+    assert invoke("--ladder-cap", nines, "ladder", "1/0", "19/42")[0] == 0
+    # malformed integers keep argparse's own wording
+    assert invoke("classify-2bridge", nines + "x", "1")[2] == (
+        f"usage error: argument q: invalid int value: '{nines}x'\n"
+    )
+    assert invoke("--geo-cap", "x", "geodesics", "1/0", "1/2")[2] == (
+        "usage error: argument --geo-cap: invalid int value: 'x'\n"
+    )
+
+
+def test_gen_keen_past_memory_is_a_resource_limit():
+    for n in (2**62, 10**20):
+        with pytest.raises(ResourceLimit):
+            bridge.make_strongly_keen_example(n)
+    for n in (str(2**62), str(10**20), "9" * 5000):
+        code, out, err = invoke("gen-keen", n)
+        assert (code, out) == (2, ""), n
+        assert err.startswith("resource limit: ")
+        assert err.endswith(" default entries do not fit in memory\n")
+
+
+# ---------------------------------------------------------------- oracle box
+
+def _ladder_box(x, y) -> int:
+    verts = (x, y) if x == y or is_adjacent(x, y) else farey.ladder(x, y).vertices()
+    return max(max(abs(v.p), v.q) for v in verts)
+
+
+def _box_pairs(seed: int, n: int):
+    """Seeded slope pairs with denominators up to 60; a third of them moved
+    by a unimodular map with one-digit entries, a third by one with
+    30-digit entries."""
+    rng = random.Random(seed)
+
+    def slope():
+        if rng.random() < 0.1:
+            return rng.choice((INFINITY, ZERO))
+        q = rng.randint(1, 60)
+        return reduce(rng.randint(-2 * q, 2 * q), q)
+
+    pairs = []
+    for i in range(n):
+        x, y = slope(), slope()
+        if i % 3:
+            digits = 1 if i % 3 == 1 else 30
+            a, c = rng.randrange(1, 10**digits), rng.randrange(1, 10**digits)
+            g = math.gcd(a, c)
+            a, c = a // g, c // g
+            d = pow(a, -1, c) if c > 1 else 0
+            m = MobiusMap(a, (a * d - 1) // c, c, d)
+            x, y = m.apply(x), m.apply(y)
+        pairs.append((x, y))
+    return pairs
+
+
+def test_oracle_bound_is_the_box_of_the_ladder():
+    inside = 0
+    for x, y in _box_pairs(11, 3000):
+        want = _ladder_box(x, y)
+        if want > oracle.DEFAULT_ORACLE_BUDGET:
+            with pytest.raises(OracleBudget):
+                cli._oracle_bound(x, y)
+        else:
+            assert cli._oracle_bound(x, y) == want, (x, y)
+            inside += 1
+    assert inside >= 2000
+
+
+def test_oracle_check_builds_no_ladder(monkeypatch):
+    built = []
+    real_ladder = farey.ladder
+
+    def counted(*args, **kwargs):
+        built.append(args)
+        return real_ladder(*args, **kwargs)
+
+    # distance itself still walks the ladder; the oracle check adds none
+    monkeypatch.setattr(farey, "ladder", counted)
+    for argv in (("distance", "1/0", "19/42"), ("distance", "--", "-3/7", "5/11")):
+        del built[:]
+        assert invoke(*argv)[0] == 0
+        alone = len(built)
+        assert invoke("--oracle", *argv)[0] == 0
+        assert len(built) == 2 * alone == 2, argv
+
+    def no_ladder(*args, **kwargs):
+        raise AssertionError("ladder built")
+
+    monkeypatch.setattr(farey, "ladder", no_ladder)
+    for argv in (
+        ("geodesics", "1/0", "19/42"),
+        ("geodesics", "--", "-3/7", "5/11"),
+        ("classify-2bridge", "42", "19"),
+        ("classify-2bridge", "1", "0"),
+        ("distance", "1/3", "1/2"),
+        ("distance", "2/5", "2/5"),
+    ):
+        for flags in (("--oracle",), ("--oracle", "--json")):
+            code, out, err = invoke(*flags, *argv)
+            assert (code, err) == (0, ""), argv
+
+
+def test_oracle_box_over_the_budget_exits_2_before_any_bfs(monkeypatch):
+    def no_bfs(self, src):
+        raise AssertionError("BFS ran")
+
+    monkeypatch.setattr(oracle.BoundedSubgraph, "distances_from", no_bfs)
+    long = cf_eval([3] * 12)
+    for argv in (
+        ("geodesics", "1/0", "1/10000000"),
+        ("geodesics", "1/0", str(long)),
+        ("distance", "1/0", str(long)),
+        ("classify-2bridge", str(long.q), str(long.p)),
+        ("geodesics", "1/0", "1/8193"),
+    ):
+        start = time.perf_counter()
+        code, out, err = invoke("--oracle", *argv)
+        assert time.perf_counter() - start < 1, argv
+        assert (code, out) == (2, ""), argv
+        assert err.startswith("resource limit: oracle check would need bound "), err
+    assert cli._oracle_bound(INFINITY, sl("1/8192")) == oracle.DEFAULT_ORACLE_BUDGET

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import math
 from collections import OrderedDict
 
 import pytest
@@ -14,7 +15,14 @@ from fareybridge.oracle import (
     stabilized_distance,
     subgraph,
 )
-from fareybridge.rationals import INFINITY, ZERO, det, is_adjacent, parse_slope
+from fareybridge.rationals import (
+    INFINITY,
+    ZERO,
+    ExtendedRational,
+    det,
+    is_adjacent,
+    parse_slope,
+)
 
 sl = parse_slope
 
@@ -46,6 +54,22 @@ def test_neighbors_are_adjacent_in_bound_and_symmetric():
             assert is_adjacent(v, w)
             assert sg.contains(w)
             assert v in sg.neighbors(w)
+
+
+def test_adjacent_yields_each_box_neighbor_once():
+    for n in range(1, 17):
+        sg = BoundedSubgraph(n)
+        box = [INFINITY] + [
+            ExtendedRational(p, q)
+            for q in range(1, n + 1)
+            for p in range(-n, n + 1)
+            if math.gcd(p, q) == 1
+        ]
+        for v in box:
+            got = list(sg._adjacent(v.p, v.q))
+            assert len(got) == len(set(got)), (n, v)
+            want = tuple(sorted(w for w in box if abs(det(v, w)) == 1))
+            assert sg.neighbors(v) == want, (n, v)
 
 
 def test_neighbors_out_of_bound_input():
