@@ -48,13 +48,17 @@ SCHEMA_VERSION = 1
 # ---------------------------------------------------------------- serialization
 
 def geodesic_set_to_jsonable(gs: GeodesicSet) -> dict:
+    # The paths of an all_geodesics set share one object per vertex, so
+    # each distinct vertex is formatted once, however many paths visit it.
+    vertices = {id(v): v for p in gs.paths for v in p.vertices}
+    names = {k: str(v) for k, v in vertices.items()}
     return {
         "x": str(gs.source),
         "y": str(gs.target),
         "distance": gs.length,
         "unique": gs.unique,
         "count": len(gs.paths),
-        "geodesics": [[str(v) for v in p.vertices] for p in gs.paths],
+        "geodesics": [[names[id(v)] for v in p.vertices] for p in gs.paths],
     }
 
 

@@ -8,15 +8,18 @@ plain BFS.  Distances in the bounded graph can only overshoot the true ones,
 and they stop changing once N is large enough to contain every vertex a
 shortest path needs, which is what stabilized_distance waits for.
 
-One BFS distance map is cached per (bound, source), and it is what a
-fresh run would return.  Distances are read from it, and geodesics are
-walked back off it one layer at a time, without recursion.
+A query grows one BFS ball from each end, a layer at a time, and stops
+where the two meet, so it maps the neighborhoods of its two ends and not
+the whole box.  Each ball is kept per (bound, source) in _SUBGRAPHS, and a
+later query resumes it where it stopped.  Geodesics are walked off the two
+balls one layer at a time, without recursion.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict, deque
-from dataclasses import dataclass, field
+from collections import OrderedDict
+from dataclasses import dataclass
+from functools import lru_cache
 
 from .errors import DomainError, EnumerationOverflow, OracleBudget, OutOfBound
 from .farey import DEFAULT_GEO_CAP, GEO_CAP_ENV, FareyPath, GeodesicSet, _resolve_cap
@@ -77,17 +80,16 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
     return old_r, old_u, old_v
 
 
-@dataclass
+@dataclass(frozen=True)
 class BoundedSubgraph:
     """Induced subgraph on slopes with |p| <= bound and q <= bound.
 
-    Adjacency is generated on the fly from the determinant condition —
-    nothing per-vertex is stored beyond one cached BFS distance map per
-    source, from which both distances and geodesics are read.
+    Adjacency is generated on the fly from the determinant condition, and
+    the instance stores nothing: the BFS balls that searches in this box
+    grow are kept in the module's _SUBGRAPHS cache, per (bound, source).
     """
 
     bound: int
-    _dist_maps: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
         if self.bound < 1:
@@ -124,39 +126,72 @@ class BoundedSubgraph:
         pq = _check_inside(self, v)
         return tuple(sorted(ExtendedRational(r, s) for r, s in self._adjacent(*pq)))
 
+    def _ball(self, src: tuple[int, int]) -> _Ball:
+        """The cached ball of src in this box, or a new one; now the most
+        recently used."""
+        key = (self.bound, src)
+        ball = _SUBGRAPHS.get(key)
+        if ball is None:
+            ball = _SUBGRAPHS[key] = _Ball(self, src)
+        _SUBGRAPHS.move_to_end(key)
+        return ball
+
     def distances_from(self, src: tuple[int, int]) -> dict[tuple[int, int], int]:
-        """BFS distance map over the whole bounded component of src."""
-        cached = self._dist_maps.get(src)
-        if cached is not None:
-            return cached
-        adjacent = self._adjacent
-        dist = {src: 0}
-        queue = deque((src,))
-        while queue:
-            u = queue.popleft()
-            nd = dist[u] + 1
+        """BFS distance map over the whole bounded component of src: its
+        ball, grown until it is exhausted."""
+        ball = self._ball(src)
+        while not ball.exhausted:
+            ball.grow()
+        _trim()
+        return ball.dist
+
+
+class _Ball:
+    """The BFS from one source in one box, grown a layer at a time: dist
+    maps every vertex of the completed layers to its layer."""
+
+    __slots__ = ("sg", "dist", "layers", "exhausted")
+
+    def __init__(self, sg: BoundedSubgraph, src: tuple[int, int]):
+        self.sg = sg
+        self.dist = {src: 0}
+        self.layers = [[src]]
+        self.exhausted = False  # dist holds src's whole bounded component
+
+    def grow(self) -> list[tuple[int, int]]:
+        """Discover the next layer and return it; empty once exhausted."""
+        dist, k, new = self.dist, len(self.layers), []
+        adjacent = self.sg._adjacent
+        for u in self.layers[-1]:
             for w in adjacent(*u):
                 if w not in dist:
-                    dist[w] = nd
-                    queue.append(w)
-        self._dist_maps[src] = dist
-        return dist
+                    dist[w] = k
+                    new.append(w)
+        if new:
+            self.layers.append(new)
+        else:
+            self.exhausted = True
+        return new
 
 
-_SUBGRAPHS: OrderedDict[int, BoundedSubgraph] = OrderedDict()
-_SUBGRAPH_KEEP = 8
+# Search state: one _Ball per (bound, source), least recently used first,
+# trimmed after each query to _CACHE_VERTICES stored vertices in total.  The
+# total is counted off the balls themselves, so it holds for whatever the
+# dict contains, also after a caller has cleared it and put it back.
+_SUBGRAPHS: OrderedDict[tuple[int, tuple[int, int]], _Ball] = OrderedDict()
+_CACHE_VERTICES = 1 << 15
 
 
+def _trim() -> None:
+    total = sum(len(ball.dist) for ball in _SUBGRAPHS.values())
+    while total > _CACHE_VERTICES:
+        total -= len(_SUBGRAPHS.popitem(last=False)[1].dist)
+
+
+@lru_cache(maxsize=16)
 def subgraph(bound: int) -> BoundedSubgraph:
-    """Shared BoundedSubgraph instances, a few most recent bounds kept."""
-    sg = _SUBGRAPHS.get(bound)
-    if sg is None:
-        sg = BoundedSubgraph(bound)
-        _SUBGRAPHS[bound] = sg
-    _SUBGRAPHS.move_to_end(bound)
-    while len(_SUBGRAPHS) > _SUBGRAPH_KEEP:
-        _SUBGRAPHS.popitem(last=False)
-    return sg
+    """A shared BoundedSubgraph per recent bound."""
+    return BoundedSubgraph(bound)
 
 
 def _check_inside(sg: BoundedSubgraph, v: ExtendedRational) -> tuple[int, int]:
@@ -165,21 +200,47 @@ def _check_inside(sg: BoundedSubgraph, v: ExtendedRational) -> tuple[int, int]:
     return (v.p, v.q)
 
 
+def _meet(bx: _Ball, by: _Ball) -> int | None:
+    """Distance between the sources of two balls in one box, or None when
+    they lie in different components.
+
+    Once the balls share a vertex, the least dx + dy over the shared
+    vertices is the distance d: every shared vertex gives a walk, and the
+    vertex of a geodesic at min(x's radius, d) from x lies in both balls.
+    Any overlap of the balls as cached is found first; after that, each
+    step grows the ball whose last layer is smaller, and only the new layer
+    can meet the other ball.
+    """
+    small, big = (bx, by) if len(bx.dist) <= len(by.dist) else (by, bx)
+    other = big.dist
+    d = min((k + other[v] for v, k in small.dist.items() if v in other), default=None)
+    while d is None:
+        if bx.exhausted or by.exhausted:
+            return None
+        ball, other = (bx, by.dist) if len(bx.layers[-1]) <= len(by.layers[-1]) else (by, bx.dist)
+        k = len(ball.layers)
+        d = min((k + other[v] for v in ball.grow() if v in other), default=None)
+    return d
+
+
 def bounded_distance(
     x: ExtendedRational, y: ExtendedRational, bound: int
 ):
     """BFS distance within the bound, or UNREACHABLE.
 
-    The bounded graph is connected in practice (the convergent path to 1/0
-    stays inside any box containing its endpoint), so UNREACHABLE is
-    defensive surface.
+    Searched from both ends at once: the balls of x and y grow until they
+    meet, so the search maps the neighborhoods of the two ends, not the
+    whole box.  The bounded graph is connected in practice (the
+    convergent path to 1/0 stays inside any box containing its endpoint),
+    so UNREACHABLE is defensive surface.
     """
     sg = subgraph(bound)
     xv = _check_inside(sg, x)
     yv = _check_inside(sg, y)
     if xv == yv:
         return 0
-    d = sg.distances_from(xv).get(yv)
+    d = _meet(sg._ball(xv), sg._ball(yv))
+    _trim()
     return UNREACHABLE if d is None else d
 
 
@@ -213,6 +274,42 @@ def stabilized_distance(
         bound *= 2
 
 
+def _geodesic_dag(bx: _Ball, by: _Ball, d: int):
+    """The vertices of the x->y geodesics, position by position from x,
+    and each one's predecessors on them.
+
+    Every geodesic crosses the middle M, the vertices with dx = s and
+    dy = d - s for s = min(x's radius, d), all of which lie in both balls.
+    From M, predecessors are walked back to x on x's ball (neighbors one
+    layer nearer x) and forward to y on y's ball (neighbors one layer
+    nearer y).
+    """
+    adjacent = bx.sg._adjacent
+    dx, dy = bx.dist, by.dist
+    s = min(len(bx.layers) - 1, d)
+    xs, ys = bx.layers[s], by.layers[d - s]
+    if len(xs) <= len(ys):
+        middle = [m for m in xs if dy.get(m) == d - s]
+    else:
+        middle = [m for m in ys if dx.get(m) == s]
+    levels: list[list[tuple[int, int]]] = [[]] * (d + 1)
+    levels[s] = middle
+    preds: dict[tuple[int, int], list[tuple[int, int]]] = {}
+    for k in range(s, 0, -1):
+        for v in levels[k]:
+            preds[v] = [u for u in adjacent(*v) if dx.get(u) == k - 1]
+        levels[k - 1] = list({u for v in levels[k] for u in preds[v]})
+    for k in range(s, d):
+        above: dict[tuple[int, int], list[tuple[int, int]]] = {}
+        for u in levels[k]:
+            for w in adjacent(*u):
+                if dy.get(w) == d - k - 1:
+                    above.setdefault(w, []).append(u)
+        preds.update(above)
+        levels[k + 1] = list(above)
+    return levels, preds
+
+
 def bruteforce_geodesics(
     x: ExtendedRational,
     y: ExtendedRational,
@@ -222,11 +319,14 @@ def bruteforce_geodesics(
 ) -> GeodesicSet:
     """Every shortest x->y path within the bound, as a GeodesicSet.
 
-    Read back off the cached distance map of x: the predecessors of a vertex
-    are its in-bound neighbors one BFS layer closer to x.  Paths are counted
-    forward over those layers, the cap is checked against the count, and
-    then they are listed with an explicit stack, no recursion; no
-    path-listing code is shared with the ladder side.
+    The balls of x and y grow until they meet, as in bounded_distance.
+    Every geodesic crosses the vertices M at a fixed distance from x that
+    both balls hold; predecessors are walked back from M to x on x's ball
+    and forward from M to y on y's ball.  Paths are counted forward over
+    those layers, so the count at y is the sum over m in M of the x->m
+    count times the m->y count; the cap is checked against it, and then
+    the paths are listed with an explicit stack, no recursion, and sorted.
+    No path-listing code is shared with the ladder side.
     """
     cap_value = _resolve_cap(cap, GEO_CAP_ENV, DEFAULT_GEO_CAP)
     sg = subgraph(bound)
@@ -234,22 +334,17 @@ def bruteforce_geodesics(
     yv = _check_inside(sg, y)
     if xv == yv:
         return GeodesicSet(x, y, 0, (FareyPath((x,)),))
-    dist = sg.distances_from(xv)
-    length = dist.get(yv)
+    bx, by = sg._ball(xv), sg._ball(yv)
+    length = _meet(bx, by)
+    _trim()
     if length is None:
         raise DomainError(f"{y} unreachable from {x} at bound {bound}")
 
-    preds: dict[tuple[int, int], list[tuple[int, int]]] = {}
-    layer = {yv}
-    for k in range(length - 1, -1, -1):
-        for v in layer:
-            preds[v] = [u for u in sg._adjacent(*v) if dist[u] == k]
-        layer = {u for v in layer for u in preds[v]}
-    # preds was filled from y back, one layer at a time, so its reverse
-    # meets every vertex after all of its predecessors.
+    levels, preds = _geodesic_dag(bx, by, length)
     counts = {xv: 1}
-    for v in reversed(preds):
-        counts[v] = sum(counts[u] for u in preds[v])
+    for level in levels[1:]:
+        for v in level:
+            counts[v] = sum(counts[u] for u in preds[v])
     if counts[yv] > cap_value:
         raise EnumerationOverflow(
             f"{counts[yv]} geodesics for {x} -> {y} at bound {bound}, cap is {cap_value}"

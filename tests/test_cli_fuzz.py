@@ -1,8 +1,10 @@
 """Seeded argv fuzz for cli.run: every argv exits 0, 1, 2 or 64, with no
 uncaught exception and nothing on the wrong stream.
 
-Each argv runs well under a second: oracle boxes stay within 60 or go over
-the budget, ladder entries stay within a few hundred or go over the ladder
+Each argv runs well under a second: an --oracle box is small, lies between
+500 and the oracle budget (the oracle searches from both ends, so it maps
+only their neighborhoods, not the box), or goes over the budget and is
+refused; ladder entries stay within a few hundred or go over the ladder
 cap, gen-keen sizes stay within a few dozen or do not fit in memory, and at
 most one slope of a pair is huge.
 """
@@ -14,7 +16,7 @@ import math
 import random
 
 from fareybridge import cli
-from fareybridge.errors import DomainError, OracleBudget
+from fareybridge.oracle import DEFAULT_ORACLE_BUDGET
 from fareybridge.rationals import cf_eval, parse_slope, reduce
 
 BIG = "9" * 5000  # past Python's int<->str digit limit
@@ -51,6 +53,16 @@ def _slope(rng: random.Random) -> str:
     return rng.choice(MALFORMED)
 
 
+def _wide_box_slope(rng: random.Random) -> str:
+    """A slope whose oracle box mostly lies between 500 and the budget."""
+    q = rng.randint(500, DEFAULT_ORACLE_BUDGET)
+    return str(reduce(rng.randint(-q, q), q))
+
+
+def _oracle_slope(rng: random.Random) -> str:
+    return rng.choice((_small_slope, _wide_box_slope, _wide_box_slope, _slope))(rng)
+
+
 def _over_budget_slope(rng: random.Random) -> str:
     """A slope in (0, 1) whose oracle box is over the budget, with a short ladder."""
     return str(cf_eval([3] * rng.randint(8, 14)))
@@ -84,18 +96,9 @@ def _entries(rng: random.Random) -> str:
     return rng.choice(MALFORMED)
 
 
-def _oracle_box_small_or_over_budget(x: str, y: str) -> bool:
-    try:
-        return cli._oracle_bound(parse_slope(x), parse_slope(y)) <= 60
-    except OracleBudget:
-        return True
-    except DomainError:  # not a slope: the argv fails before any BFS
-        return True
-
-
 def _positionals(rng: random.Random, command: str, oracle: bool) -> list[str]:
     if command in ("distance", "geodesics", "ladder"):
-        pick = _small_slope if oracle and rng.random() < 0.7 else _slope
+        pick = _oracle_slope if oracle else _slope
         x, y = pick(rng), pick(rng)
         if len(x) > 40 and len(y) > 40:  # geodesics between two huge slopes take seconds
             y = _small_slope(rng)
@@ -106,7 +109,8 @@ def _positionals(rng: random.Random, command: str, oracle: bool) -> list[str]:
         return [_entries(rng)]
     if command == "classify-2bridge":
         if oracle and rng.random() < 0.8:
-            s = parse_slope(rng.choice((_small_slope, _small_slope, _over_budget_slope))(rng))
+            pick = rng.choice((_small_slope, _wide_box_slope, _over_budget_slope))
+            s = parse_slope(pick(rng))
             return [str(s.q), str(abs(s.p) % max(s.q, 1))]
         return [_int_token(rng), rng.choice(("1", "0", _int_token(rng)))]
     if command == "classify-03":
@@ -137,25 +141,29 @@ def _argv(rng: random.Random) -> list[str]:
     rng.shuffle(groups)
     flags = [token for group in groups for token in group]
     args = _positionals(rng, command, oracle)
-    if oracle and command in ("distance", "geodesics"):
-        if not _oracle_box_small_or_over_budget(args[0], args[1]):
-            flags.remove("--oracle")
-    if oracle and command == "classify-2bridge":
-        q, p = args
-        if not _oracle_box_small_or_over_budget("1/0", f"{p}/{q}"):
-            flags.remove("--oracle")
     if any(a.startswith("-") for a in args) and rng.random() < 0.8:
         args = ["--"] + args  # negative slopes and integers need the separator
     return flags + [command] + _options(rng, command) + args
 
 
-def test_seeded_argv_fuzz():
+def test_seeded_argv_fuzz(monkeypatch):
+    boxes = []
+    oracle_bound = cli._oracle_bound
+
+    def recorded(x, y):
+        boxes.append(oracle_bound(x, y))
+        return boxes[-1]
+
+    monkeypatch.setattr(cli, "_oracle_bound", recorded)
     rng = random.Random(20241018)
     seen = set()
+    wide = 0
     for _ in range(700):
         argv = _argv(rng)
         out, err = io.StringIO(), io.StringIO()
+        del boxes[:]
         code = cli.run(argv, out=out, err=err)
+        wide += code == 0 and any(b >= 500 for b in boxes)
         out, err = out.getvalue(), err.getvalue()
         assert code in (0, 1, 2, 64), argv
         assert "Traceback" not in err, argv
@@ -173,3 +181,4 @@ def test_seeded_argv_fuzz():
         for code in (0, 2):
             assert (command, False, True, code) in seen or (command, True, True, code) in seen
     assert {code for *_, code in seen} == {0, 1, 2, 64}
+    assert wide >= 40

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import random
 from collections import OrderedDict
 
 import pytest
@@ -157,3 +158,109 @@ def test_geodesics_and_distance_share_one_bfs(monkeypatch):
 
     monkeypatch.setattr(BoundedSubgraph, "_adjacent", no_bfs)
     assert bounded_distance(x, y, 42) == 4
+
+
+def _box(n: int) -> list[tuple[int, int]]:
+    return [(1, 0)] + [
+        (p, q) for q in range(1, n + 1) for p in range(-n, n + 1) if math.gcd(p, q) == 1
+    ]
+
+
+def test_two_ended_distance_matches_the_full_map(monkeypatch):
+    # Every other query starts cold, both balls at their source; the rest
+    # resume whatever earlier queries in the box left cached.
+    monkeypatch.setattr(oracle, "_SUBGRAPHS", OrderedDict())
+    for n in range(1, 11):
+        box = _box(n)
+        for xv in box:
+            full = BoundedSubgraph(n).distances_from(xv)
+            assert len(full) == len(box)
+            x = ExtendedRational(*xv)
+            for i, yv in enumerate(box):
+                if i % 2:
+                    oracle._SUBGRAPHS.clear()
+                assert bounded_distance(x, ExtendedRational(*yv), n) == full[yv], (n, xv, yv)
+
+
+def _full_map(n: int, xv: tuple[int, int]) -> dict[tuple[int, int], int]:
+    """Plain BFS over the whole box from xv."""
+    adjacent = BoundedSubgraph(n)._adjacent
+    dist, frontier = {xv: 0}, [xv]
+    while frontier:
+        nxt = []
+        for u in frontier:
+            for w in adjacent(*u):
+                if w not in dist:
+                    dist[w] = dist[u] + 1
+                    nxt.append(w)
+        frontier = nxt
+    return dist
+
+
+def _reference_geodesics(n: int, dist: dict, xv: tuple[int, int], yv: tuple[int, int]):
+    """Every xv->yv geodesic in the box, walked back off dist, the full map
+    of xv."""
+    sg = BoundedSubgraph(n)
+    paths, stack = [], [(yv, (yv,))]
+    while stack:
+        v, tail = stack.pop()
+        if v == xv:
+            paths.append(tail)
+            continue
+        stack += [(u, (u,) + tail) for u in sg._adjacent(*v) if dist.get(u) == dist[v] - 1]
+    return dist[yv], sorted(paths)
+
+
+def test_two_ended_geodesics_match_a_full_map_walk(monkeypatch):
+    rng = random.Random(6)
+    pairs = [(n, xv, yv) for n in range(1, 6) for xv in _box(n) for yv in _box(n)]
+    for n in range(6, 80, 3):
+        box = _box(n)
+        xs = rng.sample(box[:40], 3)
+        pairs += [(n, rng.choice(xs), rng.choice(box)) for _ in range(20)]
+    maps: dict = {}
+    for cold in (True, False):
+        monkeypatch.setattr(oracle, "_SUBGRAPHS", OrderedDict())
+        for n, xv, yv in pairs:
+            if cold:
+                oracle._SUBGRAPHS.clear()
+            x, y = ExtendedRational(*xv), ExtendedRational(*yv)
+            if (n, xv) not in maps:
+                maps[n, xv] = _full_map(n, xv)
+            length, paths = _reference_geodesics(n, maps[n, xv], xv, yv)
+            gs = bruteforce_geodesics(x, y, n)
+            assert gs.length == length, (n, xv, yv)
+            assert [tuple((v.p, v.q) for v in p.vertices) for p in gs.paths] == paths
+
+
+def _stored_vertices() -> int:
+    return sum(len(ball.dist) for ball in oracle._SUBGRAPHS.values())
+
+
+def test_cache_stays_within_its_vertex_budget(monkeypatch):
+    monkeypatch.setattr(oracle, "_SUBGRAPHS", OrderedDict())
+    rng = random.Random(7)
+    cached = set()
+    for i in range(200):
+        n = rng.choice((60, 150, 400))
+        x = ExtendedRational(*rng.choice(_box(6)))
+        q = rng.randint(1, n)
+        p = rng.choice([p for p in range(-n, n + 1) if math.gcd(p, q) == 1])
+        if i % 2:
+            bruteforce_geodesics(x, ExtendedRational(p, q), n, cap=10**6)
+        else:
+            bounded_distance(x, ExtendedRational(p, q), n)
+        assert 0 < _stored_vertices() <= oracle._CACHE_VERTICES
+        cached.update(oracle._SUBGRAPHS)
+    assert cached - set(oracle._SUBGRAPHS), "the sweep never filled the cache"
+    # emptied and put back, as a cold-cache benchmark does: the budget is
+    # counted off the balls, so it still holds
+    saved = oracle._SUBGRAPHS.copy()
+    oracle._SUBGRAPHS.clear()
+    assert bounded_distance(INFINITY, sl("3/1000"), 1000) == 3
+    oracle._SUBGRAPHS.clear()
+    oracle._SUBGRAPHS.update(saved)
+    assert bounded_distance(INFINITY, sl("5/398"), 400) == farey.distance(INFINITY, sl("5/398"))
+    assert 0 < _stored_vertices() <= oracle._CACHE_VERTICES
+    BoundedSubgraph(300).distances_from((1, 0))  # one ball alone over the budget
+    assert _stored_vertices() <= oracle._CACHE_VERTICES
