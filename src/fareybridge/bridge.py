@@ -14,12 +14,19 @@ S(0, 1); otherwise the distance is 1 and the splitting is never keen.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 from . import farey
 from .errors import DomainError, ResourceLimit
 from .farey import GeodesicSet
-from .rationals import INFINITY, ExtendedRational, _int_text, _list_text, cf_eval
+from .rationals import (
+    INFINITY,
+    ExtendedRational,
+    _Frozen,
+    _int_text,
+    _list_text,
+    _set,
+    cf_eval,
+)
 
 __all__ = [
     "TwoBridgeLink",
@@ -52,32 +59,28 @@ _DISTANCE0_03_NOTE = (
 )
 
 
-@dataclass(frozen=True, slots=True)
-class TwoBridgeLink:
+class TwoBridgeLink(_Frozen):
     """S(q, p) with 0 <= p <= q coprime; S(0, 1) and S(1, 0) are allowed.
 
     q = 1 encodes the trivial knot; q = 0 the 2-component trivial link;
     q >= 2 the genuine 2-bridge links.
     """
 
-    q: int
-    p: int
+    __slots__ = ("q", "p")
 
-    def __post_init__(self):
-        if self.q < 0:
-            raise DomainError(f"q must be non-negative, got {_int_text(self.q)}")
-        if self.q == 0:
-            if self.p != 1:
-                raise DomainError(f"S(0, p) requires p = 1, got p = {_int_text(self.p)}")
+    def __init__(self, q: int, p: int):
+        _set(self, "q", q)
+        _set(self, "p", p)
+        if q < 0:
+            raise DomainError(f"q must be non-negative, got {_int_text(q)}")
+        if q == 0:
+            if p != 1:
+                raise DomainError(f"S(0, p) requires p = 1, got p = {_int_text(p)}")
             return
-        if not 0 <= self.p <= self.q:
-            raise DomainError(
-                f"need 0 <= p <= q, got S({_int_text(self.q)}, {_int_text(self.p)})"
-            )
-        if math.gcd(self.p, self.q) != 1:
-            raise DomainError(
-                f"p, q must be coprime, got S({_int_text(self.q)}, {_int_text(self.p)})"
-            )
+        if not 0 <= p <= q:
+            raise DomainError(f"need 0 <= p <= q, got S({_int_text(q)}, {_int_text(p)})")
+        if math.gcd(p, q) != 1:
+            raise DomainError(f"p, q must be coprime, got S({_int_text(q)}, {_int_text(p)})")
 
     @property
     def slope(self) -> ExtendedRational:
@@ -101,47 +104,55 @@ def components(link: TwoBridgeLink) -> int:
     return 2 if link.q % 2 == 0 else 1
 
 
-@dataclass(frozen=True, slots=True)
-class CompositeLink:
+class CompositeLink(_Frozen):
     """A connected sum of one or two 2-bridge summands."""
 
-    summands: tuple[TwoBridgeLink, ...]
+    __slots__ = ("summands",)
 
-    def __post_init__(self):
-        if not 1 <= len(self.summands) <= 2:
-            raise DomainError(
-                f"composite needs 1 or 2 summands, got {len(self.summands)}"
-            )
+    def __init__(self, summands: tuple[TwoBridgeLink, ...]):
+        _set(self, "summands", summands)
+        if not 1 <= len(summands) <= 2:
+            raise DomainError(f"composite needs 1 or 2 summands, got {len(summands)}")
 
     def __str__(self) -> str:
         return "#".join(str(s) for s in self.summands)
 
 
-@dataclass(frozen=True, slots=True)
-class SplittingReport:
+class SplittingReport(_Frozen):
     """Outcome of classifying one bridge splitting.
 
     keen/strongly_keen are None when the in-scope results give no verdict
     (only the distance-0 composite case).  exact=False would mark a
-    lower-bound distance; no current code path emits it.
+    lower-bound distance; no current code path emits it.  The geodesics
+    are carried along but are not part of ==.
     """
 
-    subject: str
-    splitting: str  # "02" or "03"
-    distance: int
-    case: str
-    keen: bool | None
-    strongly_keen: bool | None
-    exact: bool = True
-    note: str = ""
-    geodesics: GeodesicSet | None = field(default=None, compare=False)
+    __slots__ = (
+        "subject", "splitting", "distance", "case", "keen", "strongly_keen",
+        "exact", "note", "geodesics",
+    )
+    _compared = __slots__[:-1]
 
-    def __post_init__(self):
-        if self.distance < 0:
+    def __init__(
+        self,
+        subject: str,
+        splitting: str,  # "02" or "03"
+        distance: int,
+        case: str,
+        keen: bool | None,
+        strongly_keen: bool | None,
+        exact: bool = True,
+        note: str = "",
+        geodesics: GeodesicSet | None = None,
+    ):
+        values = (subject, splitting, distance, case, keen, strongly_keen, exact, note, geodesics)
+        for name, value in zip(self.__slots__, values):
+            _set(self, name, value)
+        if distance < 0:
             raise DomainError("distance must be non-negative")
-        if self.strongly_keen and not self.keen:
+        if strongly_keen and not keen:
             raise DomainError("strongly keen implies keen")
-        if self.distance == 1 and self.keen is True and self.strongly_keen is not True:
+        if distance == 1 and keen is True and strongly_keen is not True:
             raise DomainError("a keen splitting of distance 1 is strongly keen")
 
 

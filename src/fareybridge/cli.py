@@ -8,10 +8,11 @@ key order and separators, so identical inputs give byte-identical output.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
-from . import bridge, farey, oracle, render
+# json and oracle are imported inside the functions that use them: at module
+# level they would add to the start of every command that needs neither.
+from . import bridge, farey, render
 from .errors import (
     DomainError,
     FareyBridgeError,
@@ -114,6 +115,8 @@ def report_from_jsonable(d: dict) -> bridge.SplittingReport:
 
 
 def _dump(payload: dict) -> str:
+    import json
+
     try:
         return json.dumps(payload, separators=(",", ":"))
     except ValueError:  # an int past sys.int_max_str_digits, e.g. a cf entry
@@ -122,6 +125,8 @@ def _dump(payload: dict) -> str:
 
 def _dump_value(v) -> str:
     """What json.dumps writes for v with compact separators, ints at any size."""
+    import json
+
     if isinstance(v, dict):
         return "{" + ",".join(f"{json.dumps(k)}:{_dump_value(w)}" for k, w in v.items()) + "}"
     if isinstance(v, list):
@@ -240,6 +245,8 @@ def _oracle_bound(x: ExtendedRational, y: ExtendedRational) -> int:
     0 <= j <= a_k, mapped back linearly, so their |p| and q are convex in j
     and peak at a convergent: the box holds the ladder, so every geodesic,
     and no ladder is built.  Over the oracle budget: OracleBudget, no BFS."""
+    from . import oracle
+
     corners = [x]
     if x != y:
         m, image = normalize_pair(x, y)
@@ -252,6 +259,8 @@ def _oracle_bound(x: ExtendedRational, y: ExtendedRational) -> int:
 
 
 def _oracle_check_distance(x, y, got: int) -> None:
+    from . import oracle
+
     want = oracle.bounded_distance(x, y, _oracle_bound(x, y))
     if want != got:
         raise FareyBridgeError(
@@ -260,6 +269,8 @@ def _oracle_check_distance(x, y, got: int) -> None:
 
 
 def _oracle_check_geodesics(gs: GeodesicSet) -> None:
+    from . import oracle
+
     want = oracle.bruteforce_geodesics(
         gs.source, gs.target, _oracle_bound(gs.source, gs.target)
     )

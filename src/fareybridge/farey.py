@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import os
 from collections import deque
-from dataclasses import dataclass
 
 from .errors import (
     DegenerateLadder,
@@ -31,7 +30,9 @@ from .errors import (
 from .rationals import (
     ZERO,
     ExtendedRational,
+    _Frozen,
     _int_text,
+    _set,
     cf_expand,
     det,
     is_adjacent,
@@ -83,44 +84,47 @@ def _sort_key(v: ExtendedRational) -> tuple[int, int]:
 
 
 def _trusted(cls, **fields):
-    """An instance of a frozen dataclass built without __post_init__, for
-    values this module constructed and that hold its invariants already."""
+    """An instance of a frozen value type built without its __init__, so
+    without validation, for values this module constructed and that hold
+    its invariants already."""
     obj = object.__new__(cls)
     for name, value in fields.items():
         object.__setattr__(obj, name, value)
     return obj
 
 
-@dataclass(frozen=True, slots=True)
-class FareyTriangle:
+class FareyTriangle(_Frozen):
     """Three pairwise adjacent slopes plus the side label of its fan."""
 
-    vertices: tuple[ExtendedRational, ExtendedRational, ExtendedRational]
-    label: str
+    __slots__ = ("vertices", "label")
 
-    def __post_init__(self):
-        vs = self.vertices
+    def __init__(
+        self, vertices: tuple[ExtendedRational, ExtendedRational, ExtendedRational], label: str
+    ):
+        _set(self, "vertices", vertices)
+        _set(self, "label", label)
+        vs = vertices
         if len(vs) != 3 or len(set(vs)) != 3:
             raise DomainError("triangle needs three distinct vertices")
         for i in range(3):
             for j in range(i + 1, 3):
                 if abs(det(vs[i], vs[j])) != 1:
                     raise DomainError(f"not a Farey triangle: {vs[i]}, {vs[j]}")
-        if self.label not in ("L", "R"):
-            raise DomainError(f"label must be L or R, got {self.label!r}")
+        if label not in ("L", "R"):
+            raise DomainError(f"label must be L or R, got {label!r}")
 
     def __str__(self) -> str:
         return "{" + ", ".join(str(v) for v in self.vertices) + "}:" + self.label
 
 
-@dataclass(frozen=True, slots=True)
-class FareyPath:
+class FareyPath(_Frozen):
     """A simplicial path: consecutive vertices adjacent, no repeats."""
 
-    vertices: tuple[ExtendedRational, ...]
+    __slots__ = ("vertices",)
 
-    def __post_init__(self):
-        vs = self.vertices
+    def __init__(self, vertices: tuple[ExtendedRational, ...]):
+        _set(self, "vertices", vertices)
+        vs = vertices
         if not vs:
             raise DomainError("path needs at least one vertex")
         if len(set(vs)) != len(vs):
@@ -128,6 +132,14 @@ class FareyPath:
         for u, v in zip(vs, vs[1:]):
             if not is_adjacent(u, v):
                 raise DomainError(f"not an edge: {u} -- {v}")
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.vertices,) == (other.vertices,)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.vertices,))
 
     @property
     def length(self) -> int:
@@ -141,8 +153,7 @@ class FareyPath:
         return " -> ".join(str(v) for v in self.vertices)
 
 
-@dataclass(frozen=True, slots=True)
-class Ladder:
+class Ladder(_Frozen):
     """Ordered triangle strip between two non-adjacent slopes.
 
     runs are the L/R run lengths (the type); pivots are the fan centers,
@@ -152,21 +163,24 @@ class Ladder:
     apart share at most one vertex.
     """
 
-    x: ExtendedRational
-    y: ExtendedRational
-    triangles: tuple[FareyTriangle, ...]
-    runs: tuple[int, ...]
-    pivots: tuple[ExtendedRational, ...]
-    rims: tuple[tuple[ExtendedRational, ...], ...]
+    __slots__ = ("x", "y", "triangles", "runs", "pivots", "rims")
 
-    def __post_init__(self):
-        if len(self.pivots) != len(self.runs):
+    def __init__(
+        self,
+        x: ExtendedRational,
+        y: ExtendedRational,
+        triangles: tuple[FareyTriangle, ...],
+        runs: tuple[int, ...],
+        pivots: tuple[ExtendedRational, ...],
+        rims: tuple[tuple[ExtendedRational, ...], ...],
+    ):
+        for name, value in zip(self.__slots__, (x, y, triangles, runs, pivots, rims)):
+            _set(self, name, value)
+        if len(pivots) != len(runs):
             raise DomainError("one pivot per run required")
-        if sum(self.runs) != len(self.triangles):
+        if sum(runs) != len(triangles):
             raise DomainError("run lengths must sum to the triangle count")
-        if len(self.rims) != len(self.runs) or any(
-            len(rim) != a + 1 for rim, a in zip(self.rims, self.runs)
-        ):
+        if len(rims) != len(runs) or any(len(rim) != a + 1 for rim, a in zip(rims, runs)):
             raise DomainError("one rim of run length + 1 vertices per run required")
 
     @property
@@ -193,24 +207,28 @@ class Ladder:
         return tuple(seen)
 
 
-@dataclass(frozen=True, slots=True)
-class GeodesicSet:
+class GeodesicSet(_Frozen):
     """Every shortest path between two slopes, in deterministic order."""
 
-    source: ExtendedRational
-    target: ExtendedRational
-    length: int
-    paths: tuple[FareyPath, ...]
+    __slots__ = ("source", "target", "length", "paths")
 
-    def __post_init__(self):
-        if not self.paths:
+    def __init__(
+        self,
+        source: ExtendedRational,
+        target: ExtendedRational,
+        length: int,
+        paths: tuple[FareyPath, ...],
+    ):
+        for name, value in zip(self.__slots__, (source, target, length, paths)):
+            _set(self, name, value)
+        if not paths:
             raise DomainError("a geodesic set is never empty")
-        for p in self.paths:
-            if p.vertices[0] != self.source or p.vertices[-1] != self.target:
+        for p in paths:
+            if p.vertices[0] != source or p.vertices[-1] != target:
                 raise DomainError("path endpoints disagree with the set")
-            if p.length != self.length:
+            if p.length != length:
                 raise DomainError("path length disagrees with the set")
-        if len(set(self.paths)) != len(self.paths):
+        if len(set(paths)) != len(paths):
             raise DomainError("duplicate geodesic")
 
     @property

@@ -18,12 +18,11 @@ balls one layer at a time, without recursion.
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import DomainError, EnumerationOverflow, OracleBudget, OutOfBound
 from .farey import DEFAULT_GEO_CAP, GEO_CAP_ENV, FareyPath, GeodesicSet, _resolve_cap
-from .rationals import ExtendedRational
+from .rationals import ExtendedRational, _Frozen, _set
 
 __all__ = [
     "UNREACHABLE",
@@ -80,8 +79,7 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
     return old_r, old_u, old_v
 
 
-@dataclass(frozen=True)
-class BoundedSubgraph:
+class BoundedSubgraph(_Frozen):
     """Induced subgraph on slopes with |p| <= bound and q <= bound.
 
     Adjacency is generated on the fly from the determinant condition, and
@@ -89,11 +87,12 @@ class BoundedSubgraph:
     grow are kept in the module's _SUBGRAPHS cache, per (bound, source).
     """
 
-    bound: int
+    __slots__ = ("bound",)
 
-    def __post_init__(self):
-        if self.bound < 1:
-            raise DomainError(f"bound must be >= 1, got {self.bound}")
+    def __init__(self, bound: int):
+        _set(self, "bound", bound)
+        if bound < 1:
+            raise DomainError(f"bound must be >= 1, got {bound}")
 
     def contains(self, v: ExtendedRational) -> bool:
         return abs(v.p) <= self.bound and v.q <= self.bound
@@ -200,6 +199,13 @@ def _check_inside(sg: BoundedSubgraph, v: ExtendedRational) -> tuple[int, int]:
     return (v.p, v.q)
 
 
+def _next_cost(ball: _Ball) -> int:
+    """About how many neighbors growing the ball's next layer reads: p/q
+    has about 2N / max(|p|, q) neighbors in box N."""
+    n2 = 2 * ball.sg.bound
+    return sum(n2 // max(abs(p), q) for p, q in ball.layers[-1])
+
+
 def _meet(bx: _Ball, by: _Ball) -> int | None:
     """Distance between the sources of two balls in one box, or None when
     they lie in different components.
@@ -208,8 +214,9 @@ def _meet(bx: _Ball, by: _Ball) -> int | None:
     vertices is the distance d: every shared vertex gives a walk, and the
     vertex of a geodesic at min(x's radius, d) from x lies in both balls.
     Any overlap of the balls as cached is found first; after that, each
-    step grows the ball whose last layer is smaller, and only the new layer
-    can meet the other ball.
+    step grows the ball whose next layer is cheaper to discover, and only
+    the new layer can meet the other ball.  The order of growth cannot
+    change d, only the work done to reach it.
     """
     small, big = (bx, by) if len(bx.dist) <= len(by.dist) else (by, bx)
     other = big.dist
@@ -217,7 +224,7 @@ def _meet(bx: _Ball, by: _Ball) -> int | None:
     while d is None:
         if bx.exhausted or by.exhausted:
             return None
-        ball, other = (bx, by.dist) if len(bx.layers[-1]) <= len(by.layers[-1]) else (by, bx.dist)
+        ball, other = (bx, by.dist) if _next_cost(bx) <= _next_cost(by) else (by, bx.dist)
         k = len(ball.layers)
         d = min((k + other[v] for v in ball.grow() if v in other), default=None)
     return d

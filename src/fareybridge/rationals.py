@@ -15,9 +15,9 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
+from collections.abc import Sequence
 from functools import total_ordering
-from typing import Sequence
+from operator import attrgetter
 
 from .errors import DomainError
 
@@ -80,26 +80,84 @@ def _parse_int(text: str) -> int:
         return int(decimal.Decimal(text))
 
 
+_set = object.__setattr__
+
+
+def _getter(names: tuple[str, ...]):
+    """obj -> the tuple of obj's attributes `names`; a 1-tuple for one name."""
+    get = attrgetter(*names)
+    return get if len(names) > 1 else lambda obj: (get(obj),)
+
+
+class _Frozen:
+    """Base of the package's value types: immutable, equal and hashed by
+    their fields, printed as Name(field=value, ...), and pickled and copied
+    through the constructor, so a rebuilt value is validated like a new one.
+
+    A subclass lists its fields in __slots__, in constructor order, and sets
+    them in its own __init__ with object.__setattr__.  == and hash read the
+    fields named in _compared, all of them by default.
+    """
+
+    __slots__ = ()
+    _compared: tuple[str, ...] | None = None
+
+    def __init_subclass__(cls):
+        fields = cls.__slots__
+        cls.__match_args__ = fields
+        cls._values = staticmethod(_getter(fields))
+        cls._key = staticmethod(_getter(cls._compared or fields))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key(self) == other._key(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._key(self))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{n}={v!r}" for n, v in zip(self.__slots__, self._values(self)))
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __reduce__(self):
+        return self.__class__, self._values(self)
+
+
 @total_ordering
-@dataclass(frozen=True, slots=True)
-class ExtendedRational:
+class ExtendedRational(_Frozen):
     """A slope p/q in lowest terms; q = 0 encodes the point at infinity.
 
     The constructor rejects non-canonical input; use reduce() to normalize
     arbitrary integer pairs.
     """
 
-    p: int
-    q: int
+    __slots__ = ("p", "q")
 
-    def __post_init__(self):
-        if self.q < 0:
-            raise DomainError(f"denominator must be non-negative: {self.p}/{self.q}")
-        if self.q == 0:
-            if self.p != 1:
-                raise DomainError(f"infinity must be written 1/0, got {self.p}/0")
-        elif math.gcd(self.p, self.q) != 1:
-            raise DomainError(f"not in lowest terms: {self.p}/{self.q}")
+    def __init__(self, p: int, q: int):
+        _set(self, "p", p)
+        _set(self, "q", q)
+        if q < 0:
+            raise DomainError(f"denominator must be non-negative: {p}/{q}")
+        if q == 0:
+            if p != 1:
+                raise DomainError(f"infinity must be written 1/0, got {p}/0")
+        elif math.gcd(p, q) != 1:
+            raise DomainError(f"not in lowest terms: {p}/{q}")
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.p, self.q) == (other.p, other.q)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.p, self.q))
 
     @property
     def is_infinity(self) -> bool:
@@ -182,19 +240,18 @@ def mediant(x: ExtendedRational, y: ExtendedRational) -> ExtendedRational:
     return reduce(x.p + y.p, x.q + y.q)
 
 
-@dataclass(frozen=True, slots=True)
-class ContinuedFraction:
+class ContinuedFraction(_Frozen):
     """Canonical expansion [a1, ..., an] of a slope in [0, 1).
 
     Invariant: every entry >= 1 and the last entry >= 2, so distinct
     canonical sequences evaluate to distinct slopes in [0, 1).
     """
 
-    entries: tuple[int, ...]
+    __slots__ = ("entries",)
 
-    def __post_init__(self):
-        es = tuple(self.entries)
-        object.__setattr__(self, "entries", es)
+    def __init__(self, entries: tuple[int, ...]):
+        es = tuple(entries)
+        _set(self, "entries", es)
         if any(a < 1 for a in es):
             raise DomainError(f"entries must be positive: {_list_text(es)}")
         if es and es[-1] < 2:
@@ -277,20 +334,26 @@ def convergents(entries: ContinuedFraction | Sequence[int]) -> tuple[ExtendedRat
     return tuple(out)
 
 
-@dataclass(frozen=True, slots=True)
-class MobiusMap:
+class MobiusMap(_Frozen):
     """Unimodular map x -> (a x + b) / (c x + d) with det = ad - bc = +-1."""
 
-    a: int
-    b: int
-    c: int
-    d: int
+    __slots__ = ("a", "b", "c", "d")
 
-    def __post_init__(self):
-        if self.a * self.d - self.b * self.c not in (1, -1):
-            raise DomainError(
-                f"matrix [[{self.a},{self.b}],[{self.c},{self.d}]] is not unimodular"
-            )
+    def __init__(self, a: int, b: int, c: int, d: int):
+        _set(self, "a", a)
+        _set(self, "b", b)
+        _set(self, "c", c)
+        _set(self, "d", d)
+        if a * d - b * c not in (1, -1):
+            raise DomainError(f"matrix [[{a},{b}],[{c},{d}]] is not unimodular")
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.a, self.b, self.c, self.d) == (other.a, other.b, other.c, other.d)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.a, self.b, self.c, self.d))
 
     @classmethod
     def identity(cls) -> "MobiusMap":

@@ -264,3 +264,22 @@ def test_cache_stays_within_its_vertex_budget(monkeypatch):
     assert 0 < _stored_vertices() <= oracle._CACHE_VERTICES
     BoundedSubgraph(300).distances_from((1, 0))  # one ball alone over the budget
     assert _stored_vertices() <= oracle._CACHE_VERTICES
+
+
+def test_meet_grows_the_side_whose_next_layer_is_cheaper(monkeypatch):
+    # 1/0's first layer is the 16,385 integers of the box, whose neighbors
+    # are nearly the whole box; growing the target's side instead meets it
+    # after discovering fewer than half as many vertices.
+    monkeypatch.setattr(oracle, "_SUBGRAPHS", OrderedDict())
+    found = []
+    grow = oracle._Ball.grow
+
+    def counted(ball):
+        new = grow(ball)
+        found.append(len(new))
+        return new
+
+    monkeypatch.setattr(oracle._Ball, "grow", counted)
+    gs = bruteforce_geodesics(INFINITY, sl("4999/8192"), 8192)
+    assert (gs.length, len(gs)) == (8, 6)
+    assert sum(found) <= 160_000
