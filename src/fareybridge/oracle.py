@@ -10,15 +10,12 @@ shortest path needs, which is what stabilized_distance waits for.
 
 A query grows one BFS ball from each end, a layer at a time, and stops
 where the two meet, so it maps the neighborhoods of its two ends and not
-the whole box.  Each ball is kept per (bound, source) in _SUBGRAPHS, and a
-later query resumes it where it stopped.  Geodesics are walked off the two
-balls one layer at a time, without recursion.
+the whole box.  The balls belong to the query and are dropped when it
+returns: nothing is kept between queries.  Geodesics are walked off the
+two balls one layer at a time, without recursion.
 """
 
 from __future__ import annotations
-
-from collections import OrderedDict
-from functools import lru_cache
 
 from .errors import DomainError, EnumerationOverflow, OracleBudget, OutOfBound
 from .farey import DEFAULT_GEO_CAP, GEO_CAP_ENV, FareyPath, GeodesicSet, _resolve_cap
@@ -27,7 +24,6 @@ from .rationals import ExtendedRational, _Frozen, _set
 __all__ = [
     "UNREACHABLE",
     "BoundedSubgraph",
-    "subgraph",
     "bounded_distance",
     "stabilized_distance",
     "bruteforce_geodesics",
@@ -82,9 +78,8 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
 class BoundedSubgraph(_Frozen):
     """Induced subgraph on slopes with |p| <= bound and q <= bound.
 
-    Adjacency is generated on the fly from the determinant condition, and
-    the instance stores nothing: the BFS balls that searches in this box
-    grow are kept in the module's _SUBGRAPHS cache, per (bound, source).
+    Adjacency is generated on the fly from the determinant condition, so
+    the instance stores only its bound.
     """
 
     __slots__ = ("bound",)
@@ -125,37 +120,28 @@ class BoundedSubgraph(_Frozen):
         pq = _check_inside(self, v)
         return tuple(sorted(ExtendedRational(r, s) for r, s in self._adjacent(*pq)))
 
-    def _ball(self, src: tuple[int, int]) -> _Ball:
-        """The cached ball of src in this box, or a new one; now the most
-        recently used."""
-        key = (self.bound, src)
-        ball = _SUBGRAPHS.get(key)
-        if ball is None:
-            ball = _SUBGRAPHS[key] = _Ball(self, src)
-        _SUBGRAPHS.move_to_end(key)
-        return ball
-
     def distances_from(self, src: tuple[int, int]) -> dict[tuple[int, int], int]:
         """BFS distance map over the whole bounded component of src: its
         ball, grown until it is exhausted."""
-        ball = self._ball(src)
+        ball = _Ball(self, src)
         while not ball.exhausted:
             ball.grow()
-        _trim()
         return ball.dist
 
 
 class _Ball:
     """The BFS from one source in one box, grown a layer at a time: dist
-    maps every vertex of the completed layers to its layer."""
+    maps every vertex of the completed layers to its layer.  cost is the
+    _next_cost of the last layer once asked for, None until then."""
 
-    __slots__ = ("sg", "dist", "layers", "exhausted")
+    __slots__ = ("sg", "dist", "layers", "exhausted", "cost")
 
     def __init__(self, sg: BoundedSubgraph, src: tuple[int, int]):
         self.sg = sg
         self.dist = {src: 0}
         self.layers = [[src]]
         self.exhausted = False  # dist holds src's whole bounded component
+        self.cost = None
 
     def grow(self) -> list[tuple[int, int]]:
         """Discover the next layer and return it; empty once exhausted."""
@@ -168,29 +154,19 @@ class _Ball:
                     new.append(w)
         if new:
             self.layers.append(new)
+            self.cost = None
         else:
             self.exhausted = True
         return new
 
 
-# Search state: one _Ball per (bound, source), least recently used first,
-# trimmed after each query to _CACHE_VERTICES stored vertices in total.  The
-# total is counted off the balls themselves, so it holds for whatever the
-# dict contains, also after a caller has cleared it and put it back.
-_SUBGRAPHS: OrderedDict[tuple[int, tuple[int, int]], _Ball] = OrderedDict()
-_CACHE_VERTICES = 1 << 15
-
-
-def _trim() -> None:
-    total = sum(len(ball.dist) for ball in _SUBGRAPHS.values())
-    while total > _CACHE_VERTICES:
-        total -= len(_SUBGRAPHS.popitem(last=False)[1].dist)
-
-
-@lru_cache(maxsize=16)
-def subgraph(bound: int) -> BoundedSubgraph:
-    """A shared BoundedSubgraph per recent bound."""
-    return BoundedSubgraph(bound)
+def _next_cost(ball: _Ball) -> int:
+    """About how many neighbors growing the ball's next layer reads: p/q
+    has about 2N / max(|p|, q) neighbors in box N.  Summed once a layer."""
+    if ball.cost is None:
+        n2 = 2 * ball.sg.bound
+        ball.cost = sum(n2 // max(abs(p), q) for p, q in ball.layers[-1])
+    return ball.cost
 
 
 def _check_inside(sg: BoundedSubgraph, v: ExtendedRational) -> tuple[int, int]:
@@ -199,28 +175,19 @@ def _check_inside(sg: BoundedSubgraph, v: ExtendedRational) -> tuple[int, int]:
     return (v.p, v.q)
 
 
-def _next_cost(ball: _Ball) -> int:
-    """About how many neighbors growing the ball's next layer reads: p/q
-    has about 2N / max(|p|, q) neighbors in box N."""
-    n2 = 2 * ball.sg.bound
-    return sum(n2 // max(abs(p), q) for p, q in ball.layers[-1])
-
-
 def _meet(bx: _Ball, by: _Ball) -> int | None:
-    """Distance between the sources of two balls in one box, or None when
-    they lie in different components.
+    """Distance between the sources of two fresh balls in one box, or None
+    when they lie in different components.
 
     Once the balls share a vertex, the least dx + dy over the shared
     vertices is the distance d: every shared vertex gives a walk, and the
     vertex of a geodesic at min(x's radius, d) from x lies in both balls.
-    Any overlap of the balls as cached is found first; after that, each
-    step grows the ball whose next layer is cheaper to discover, and only
-    the new layer can meet the other ball.  The order of growth cannot
-    change d, only the work done to reach it.
+    Distinct sources share nothing, so each step grows the ball whose next
+    layer is cheaper to discover, and only the new layer can meet the
+    other ball.  The order of growth cannot change d, only the work done
+    to reach it.
     """
-    small, big = (bx, by) if len(bx.dist) <= len(by.dist) else (by, bx)
-    other = big.dist
-    d = min((k + other[v] for v, k in small.dist.items() if v in other), default=None)
+    d = None
     while d is None:
         if bx.exhausted or by.exhausted:
             return None
@@ -241,13 +208,12 @@ def bounded_distance(
     convergent path to 1/0 stays inside any box containing its endpoint),
     so UNREACHABLE is defensive surface.
     """
-    sg = subgraph(bound)
+    sg = BoundedSubgraph(bound)
     xv = _check_inside(sg, x)
     yv = _check_inside(sg, y)
     if xv == yv:
         return 0
-    d = _meet(sg._ball(xv), sg._ball(yv))
-    _trim()
+    d = _meet(_Ball(sg, xv), _Ball(sg, yv))
     return UNREACHABLE if d is None else d
 
 
@@ -289,10 +255,12 @@ def _geodesic_dag(bx: _Ball, by: _Ball, d: int):
     dy = d - s for s = min(x's radius, d), all of which lie in both balls.
     From M, predecessors are walked back to x on x's ball (neighbors one
     layer nearer x) and forward to y on y's ball (neighbors one layer
-    nearer y).
+    nearer y).  One step from an end no neighbors are read: x is the only
+    predecessor at dx = 1, and y the only successor at dy = 1.
     """
     adjacent = bx.sg._adjacent
     dx, dy = bx.dist, by.dist
+    xv, yv = bx.layers[0][0], by.layers[0][0]
     s = min(len(bx.layers) - 1, d)
     xs, ys = bx.layers[s], by.layers[d - s]
     if len(xs) <= len(ys):
@@ -302,11 +270,14 @@ def _geodesic_dag(bx: _Ball, by: _Ball, d: int):
     levels: list[list[tuple[int, int]]] = [[]] * (d + 1)
     levels[s] = middle
     preds: dict[tuple[int, int], list[tuple[int, int]]] = {}
-    for k in range(s, 0, -1):
+    for k in range(s, 1, -1):
         for v in levels[k]:
             preds[v] = [u for u in adjacent(*v) if dx.get(u) == k - 1]
         levels[k - 1] = list({u for v in levels[k] for u in preds[v]})
-    for k in range(s, d):
+    if s:
+        preds.update((v, [xv]) for v in levels[1])
+        levels[0] = [xv]
+    for k in range(s, d - 1):
         above: dict[tuple[int, int], list[tuple[int, int]]] = {}
         for u in levels[k]:
             for w in adjacent(*u):
@@ -314,6 +285,9 @@ def _geodesic_dag(bx: _Ball, by: _Ball, d: int):
                     above.setdefault(w, []).append(u)
         preds.update(above)
         levels[k + 1] = list(above)
+    if s < d:
+        preds[yv] = levels[d - 1]
+        levels[d] = [yv]
     return levels, preds
 
 
@@ -336,14 +310,13 @@ def bruteforce_geodesics(
     No path-listing code is shared with the ladder side.
     """
     cap_value = _resolve_cap(cap, GEO_CAP_ENV, DEFAULT_GEO_CAP)
-    sg = subgraph(bound)
+    sg = BoundedSubgraph(bound)
     xv = _check_inside(sg, x)
     yv = _check_inside(sg, y)
     if xv == yv:
         return GeodesicSet(x, y, 0, (FareyPath((x,)),))
-    bx, by = sg._ball(xv), sg._ball(yv)
+    bx, by = _Ball(sg, xv), _Ball(sg, yv)
     length = _meet(bx, by)
-    _trim()
     if length is None:
         raise DomainError(f"{y} unreachable from {x} at bound {bound}")
 

@@ -8,7 +8,6 @@ import random
 import subprocess
 import sys
 import time
-from collections import OrderedDict
 
 import pytest
 
@@ -476,16 +475,14 @@ def test_oracle_check_builds_no_ladder(monkeypatch):
             assert (code, err) == (0, ""), argv
 
 
-def test_oracle_answers_in_a_wide_box_within_a_second(monkeypatch):
+def test_oracle_answers_in_a_wide_box_within_a_second():
     # a box of bound 1000 holds 1.2 million slopes; the search from both
     # ends maps only their neighborhoods
-    monkeypatch.setattr(oracle, "_SUBGRAPHS", OrderedDict())
     for argv, want in (
         (("distance", "1/0", "3/1000"), "3\n"),
         (("geodesics", "1/0", "3/1000"),
          "distance 3\nunique true\n1/0 -> 0/1 -> 1/333 -> 3/1000\n"),
     ):
-        oracle._SUBGRAPHS.clear()
         start = time.perf_counter()
         code, out, err = invoke("--oracle", *argv)
         assert time.perf_counter() - start < 1, argv

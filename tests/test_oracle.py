@@ -1,8 +1,9 @@
 from __future__ import annotations
 
+import gc
 import math
 import random
-from collections import OrderedDict
+import tracemalloc
 
 import pytest
 
@@ -14,7 +15,6 @@ from fareybridge.oracle import (
     bounded_distance,
     bruteforce_geodesics,
     stabilized_distance,
-    subgraph,
 )
 from fareybridge.rationals import (
     INFINITY,
@@ -37,18 +37,18 @@ def test_contains():
 
 
 def test_neighbors_of_zero_small_bound():
-    sg = subgraph(3)
+    sg = BoundedSubgraph(3)
     nbrs = sg.neighbors(ZERO)
     assert [str(v) for v in nbrs] == ["-1/1", "-1/2", "-1/3", "1/3", "1/2", "1/1", "1/0"]
 
 
 def test_neighbors_of_infinity_are_integers():
-    nbrs = subgraph(2).neighbors(INFINITY)
+    nbrs = BoundedSubgraph(2).neighbors(INFINITY)
     assert [str(v) for v in nbrs] == ["-2/1", "-1/1", "0/1", "1/1", "2/1"]
 
 
 def test_neighbors_are_adjacent_in_bound_and_symmetric():
-    sg = subgraph(7)
+    sg = BoundedSubgraph(7)
     for text in ["1/0", "0/1", "2/7", "-3/5", "5/2"]:
         v = sl(text)
         for w in sg.neighbors(v):
@@ -75,7 +75,7 @@ def test_adjacent_yields_each_box_neighbor_once():
 
 def test_neighbors_out_of_bound_input():
     with pytest.raises(OutOfBound):
-        subgraph(3).neighbors(sl("5/4"))
+        BoundedSubgraph(3).neighbors(sl("5/4"))
 
 
 def test_bounded_distance_examples():
@@ -83,6 +83,7 @@ def test_bounded_distance_examples():
     assert bounded_distance(INFINITY, sl("3/10"), 50) == 3
     assert bounded_distance(INFINITY, sl("1/2"), 2) == 2
     assert bounded_distance(sl("2/5"), sl("2/5"), 5) == 0
+    assert bounded_distance(INFINITY, sl("5/398"), 400) == farey.distance(INFINITY, sl("5/398"))
 
 
 def test_bounded_distance_out_of_bound():
@@ -142,43 +143,20 @@ def test_bruteforce_geodesics_cap():
         bruteforce_geodesics(INFINITY, sl("1/2"), 10, cap=1)
 
 
-def test_subgraph_cache_returns_same_instance():
-    assert subgraph(9) is subgraph(9)
-
-
-def test_geodesics_and_distance_share_one_bfs(monkeypatch):
-    # bruteforce_geodesics reads the cached distance map of x, so a later
-    # bounded_distance for the same (bound, source) needs no adjacency at all.
-    monkeypatch.setattr(oracle, "_SUBGRAPHS", OrderedDict())
-    x, y = INFINITY, sl("19/42")
-    assert bruteforce_geodesics(x, y, 42).length == 4
-
-    def no_bfs(self, p, q):
-        raise AssertionError("second BFS")
-
-    monkeypatch.setattr(BoundedSubgraph, "_adjacent", no_bfs)
-    assert bounded_distance(x, y, 42) == 4
-
-
 def _box(n: int) -> list[tuple[int, int]]:
     return [(1, 0)] + [
         (p, q) for q in range(1, n + 1) for p in range(-n, n + 1) if math.gcd(p, q) == 1
     ]
 
 
-def test_two_ended_distance_matches_the_full_map(monkeypatch):
-    # Every other query starts cold, both balls at their source; the rest
-    # resume whatever earlier queries in the box left cached.
-    monkeypatch.setattr(oracle, "_SUBGRAPHS", OrderedDict())
+def test_two_ended_distance_matches_the_full_map():
     for n in range(1, 11):
         box = _box(n)
         for xv in box:
             full = BoundedSubgraph(n).distances_from(xv)
             assert len(full) == len(box)
             x = ExtendedRational(*xv)
-            for i, yv in enumerate(box):
-                if i % 2:
-                    oracle._SUBGRAPHS.clear()
+            for yv in box:
                 assert bounded_distance(x, ExtendedRational(*yv), n) == full[yv], (n, xv, yv)
 
 
@@ -211,7 +189,7 @@ def _reference_geodesics(n: int, dist: dict, xv: tuple[int, int], yv: tuple[int,
     return dist[yv], sorted(paths)
 
 
-def test_two_ended_geodesics_match_a_full_map_walk(monkeypatch):
+def test_two_ended_geodesics_match_a_full_map_walk():
     rng = random.Random(6)
     pairs = [(n, xv, yv) for n in range(1, 6) for xv in _box(n) for yv in _box(n)]
     for n in range(6, 80, 3):
@@ -219,29 +197,22 @@ def test_two_ended_geodesics_match_a_full_map_walk(monkeypatch):
         xs = rng.sample(box[:40], 3)
         pairs += [(n, rng.choice(xs), rng.choice(box)) for _ in range(20)]
     maps: dict = {}
-    for cold in (True, False):
-        monkeypatch.setattr(oracle, "_SUBGRAPHS", OrderedDict())
-        for n, xv, yv in pairs:
-            if cold:
-                oracle._SUBGRAPHS.clear()
-            x, y = ExtendedRational(*xv), ExtendedRational(*yv)
-            if (n, xv) not in maps:
-                maps[n, xv] = _full_map(n, xv)
-            length, paths = _reference_geodesics(n, maps[n, xv], xv, yv)
-            gs = bruteforce_geodesics(x, y, n)
-            assert gs.length == length, (n, xv, yv)
-            assert [tuple((v.p, v.q) for v in p.vertices) for p in gs.paths] == paths
+    for n, xv, yv in pairs:
+        x, y = ExtendedRational(*xv), ExtendedRational(*yv)
+        if (n, xv) not in maps:
+            maps[n, xv] = _full_map(n, xv)
+        length, paths = _reference_geodesics(n, maps[n, xv], xv, yv)
+        gs = bruteforce_geodesics(x, y, n)
+        assert gs.length == length, (n, xv, yv)
+        assert [tuple((v.p, v.q) for v in p.vertices) for p in gs.paths] == paths
 
 
-def _stored_vertices() -> int:
-    return sum(len(ball.dist) for ball in oracle._SUBGRAPHS.values())
-
-
-def test_cache_stays_within_its_vertex_budget(monkeypatch):
-    monkeypatch.setattr(oracle, "_SUBGRAPHS", OrderedDict())
+def test_oracle_keeps_nothing_between_queries():
+    # each query drops its balls on return, so a seeded sweep over boxes of
+    # three sizes leaves no memory behind once it is warm
     rng = random.Random(7)
-    cached = set()
-    for i in range(200):
+
+    def query(i: int) -> None:
         n = rng.choice((60, 150, 400))
         x = ExtendedRational(*rng.choice(_box(6)))
         q = rng.randint(1, n)
@@ -250,27 +221,26 @@ def test_cache_stays_within_its_vertex_budget(monkeypatch):
             bruteforce_geodesics(x, ExtendedRational(p, q), n, cap=10**6)
         else:
             bounded_distance(x, ExtendedRational(p, q), n)
-        assert 0 < _stored_vertices() <= oracle._CACHE_VERTICES
-        cached.update(oracle._SUBGRAPHS)
-    assert cached - set(oracle._SUBGRAPHS), "the sweep never filled the cache"
-    # emptied and put back, as a cold-cache benchmark does: the budget is
-    # counted off the balls, so it still holds
-    saved = oracle._SUBGRAPHS.copy()
-    oracle._SUBGRAPHS.clear()
-    assert bounded_distance(INFINITY, sl("3/1000"), 1000) == 3
-    oracle._SUBGRAPHS.clear()
-    oracle._SUBGRAPHS.update(saved)
-    assert bounded_distance(INFINITY, sl("5/398"), 400) == farey.distance(INFINITY, sl("5/398"))
-    assert 0 < _stored_vertices() <= oracle._CACHE_VERTICES
-    BoundedSubgraph(300).distances_from((1, 0))  # one ball alone over the budget
-    assert _stored_vertices() <= oracle._CACHE_VERTICES
+
+    for i in range(20):
+        query(i)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for i in range(200):
+            query(i)
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert retained < 64 * 1024, f"{retained} bytes retained"
 
 
 def test_meet_grows_the_side_whose_next_layer_is_cheaper(monkeypatch):
     # 1/0's first layer is the 16,385 integers of the box, whose neighbors
     # are nearly the whole box; growing the target's side instead meets it
     # after discovering fewer than half as many vertices.
-    monkeypatch.setattr(oracle, "_SUBGRAPHS", OrderedDict())
     found = []
     grow = oracle._Ball.grow
 
