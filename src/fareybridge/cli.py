@@ -50,16 +50,18 @@ SCHEMA_VERSION = 1
 
 def geodesic_set_to_jsonable(gs: GeodesicSet) -> dict:
     # The paths of an all_geodesics set share one object per vertex, so
-    # each distinct vertex is formatted once, however many paths visit it.
-    vertices = {id(v): v for p in gs.paths for v in p.vertices}
-    names = {k: str(v) for k, v in vertices.items()}
+    # each distinct vertex is formatted once, where it first appears.
+    names: dict[int, str] = {}
     return {
         "x": str(gs.source),
         "y": str(gs.target),
         "distance": gs.length,
         "unique": gs.unique,
         "count": len(gs.paths),
-        "geodesics": [[names[id(v)] for v in p.vertices] for p in gs.paths],
+        "geodesics": [
+            [names.get(id(v)) or names.setdefault(id(v), str(v)) for v in p.vertices]
+            for p in gs.paths
+        ],
     }
 
 

@@ -6,7 +6,9 @@ is expanded as [a1, ..., an] with convergents c_{-1} = 1/0, c_0 = 0/1,
 ..., c_n = p/q.  Geodesics run along these: c_{k-1} to c_k is an edge,
 c_{k-2} to c_k is an edge when a_k = 1 and two edges through the mediant
 c_{k-2} + c_{k-1} when a_k = 2, and a recurrence over them gives the
-distance and the geodesic count in O(n) steps.
+distance and the geodesic count in O(n) steps.  The geodesics themselves are
+listed in sorted order as they are built, in time and memory linear in the
+output: each vertex they visit is mapped back once, without a gcd.
 
 Ladders lay down n fans of triangles, fan i with a_i triangles around its
 pivot c_{i-1}; its rim walks the intermediate mediants from the previous
@@ -32,6 +34,8 @@ from .rationals import (
     ExtendedRational,
     _Frozen,
     _int_text,
+    _map_coprime,
+    _parse_int,
     _set,
     cf_expand,
     det,
@@ -70,17 +74,21 @@ def _resolve_cap(explicit: int | None, env_name: str, default: int) -> int:
     raw = os.environ.get(env_name)
     if raw:
         try:
-            value = int(raw)
+            value = _parse_int(raw)
         except ValueError:
             raise DomainError(f"{env_name} must be an integer, got {raw!r}") from None
         if value < 1:
-            raise DomainError(f"{env_name} must be positive, got {value}")
+            raise DomainError(f"{env_name} must be positive, got {_int_text(value)}")
         return value
     return default
 
 
 def _sort_key(v: ExtendedRational) -> tuple[int, int]:
     return (v.p, v.q)
+
+
+def _first_vertex_key(step) -> tuple[int, int]:
+    return _sort_key(step[0][0])
 
 
 def _trusted(cls, **fields):
@@ -275,7 +283,7 @@ def ladder(
     def mapped(p: int, q: int) -> ExtendedRational:
         v = back.get((p, q))
         if v is None:
-            v = inv.apply(ExtendedRational(p, q))
+            v = _map_coprime(inv, p, q)
             back[(p, q)] = v
         return v
 
@@ -402,7 +410,9 @@ def all_geodesics(
     """Every geodesic from x to y, sorted, capped at FAREY_GEO_CAP (10**5).
 
     The cap is checked against the geodesic count before any path is
-    built.  x = y yields the single empty path (one vertex, zero edges).
+    built.  The paths are listed in sorted order as they are built, and
+    they share their vertex objects; time and memory are linear in the
+    output.  x = y yields the single empty path (one vertex, zero edges).
     """
     cap_value = _resolve_cap(cap, GEO_CAP_ENV, DEFAULT_GEO_CAP)
     if x == y:
@@ -412,39 +422,53 @@ def all_geodesics(
         raise EnumerationOverflow(
             f"{_int_text(count[-1])} geodesics for {x} -> {y}, cap is {_int_text(cap_value)}"
         )
-    # Every vertex a geodesic can visit, each mapped back once: the
-    # convergents, then the mediant before node i at len(conv) + i - 2.
-    # Paths are tuples of the vertices' ranks in sort-key order, so sorting
-    # them sorts the mapped paths.
-    points = conv + [(p0 + p1, q0 + q1) for (p0, q0), (p1, q1) in zip(conv, conv[1:])]
+    # One backward pass lists the steps out of each skeleton node that lie
+    # on a geodesic, as (vertices the step adds, node it reaches), sorted by
+    # the first vertex each adds.  A node is on a geodesic when it has such
+    # a step, and only those nodes and their mediants are mapped back, once.
     inv = m.inverse()
-    vertices = [inv.apply(ExtendedRational(p, q)) for p, q in points]
-    order = sorted(range(len(points)), key=lambda j: _sort_key(vertices[j]))
-    rank = {j: r for r, j in enumerate(order)}
-
-    # Walk the skeleton backwards from the target; every predecessor that
-    # keeps the distance tight continues a geodesic.
-    raw: list[tuple[int, ...]] = []
-    target = len(conv) - 1
-    stack = [(target, (rank[target],))]
-    while stack:
-        i, tail = stack.pop()
-        if i == 0:
-            raw.append(tail)
+    t = len(conv) - 1
+    steps: list[list] = [[] for _ in conv]
+    for j in range(t, 0, -1):
+        if j == t:
+            v = y
+        elif steps[j]:
+            steps[j].sort(key=_first_vertex_key)
+            v = _map_coprime(inv, *conv[j])
+        else:
             continue
-        if dist[i - 1] + 1 == dist[i]:
-            stack.append((i - 1, (rank[i - 1],) + tail))
-        a = entries[i - 2] if i >= 2 else 0
-        if a == 1 and dist[i - 2] + 1 == dist[i]:
-            stack.append((i - 2, (rank[i - 2],) + tail))
-        elif a == 2 and dist[i - 2] + 2 == dist[i]:
-            stack.append((i - 2, (rank[i - 2], rank[len(conv) + i - 2]) + tail))
-    raw.sort()
-    ordered = [vertices[j] for j in order]
-    paths = tuple(
-        _trusted(FareyPath, vertices=tuple(map(ordered.__getitem__, path))) for path in raw
-    )
-    return _trusted(GeodesicSet, source=x, target=y, length=dist[-1], paths=paths)
+        if dist[j - 1] + 1 == dist[j]:
+            steps[j - 1].append(((v,), j))
+        a = entries[j - 2] if j >= 2 else 0
+        if a == 1 and dist[j - 2] + 1 == dist[j]:
+            steps[j - 2].append(((v,), j))
+        elif a == 2 and dist[j - 2] + 2 == dist[j]:
+            (p0, q0), (p1, q1) = conv[j - 2], conv[j - 1]
+            steps[j - 2].append(((_map_coprime(inv, p0 + p1, q0 + q1), v), j))
+    steps[0].sort(key=_first_vertex_key)
+
+    # Walk forward from x, one prefix in place: the steps out of a node add
+    # distinct vertices, so taking them in order lists the paths sorted.  A
+    # forced run is followed without branching, and each path is copied
+    # once, when it reaches the target.
+    paths = []
+    prefix = [x]
+    todo = [(1, (), 0)]  # (prefix length kept, vertices added, node reached)
+    while todo:
+        n, head, i = todo.pop()
+        del prefix[n:]
+        prefix += head
+        while len(steps[i]) == 1:
+            (head, i), = steps[i]
+            prefix += head
+        if i == t:  # _trusted(FareyPath, ...) inlined, as it runs once a path
+            path = object.__new__(FareyPath)
+            _set(path, "vertices", tuple(prefix))
+            paths.append(path)
+        else:
+            n = len(prefix)
+            todo += [(n, head, j) for head, j in reversed(steps[i])]
+    return _trusted(GeodesicSet, source=x, target=y, length=dist[-1], paths=tuple(paths))
 
 
 def is_unique_geodesic(x: ExtendedRational, y: ExtendedRational) -> bool:

@@ -247,6 +247,17 @@ def stabilized_distance(
         bound *= 2
 
 
+def _adjacent_in_layer(sg: BoundedSubgraph, v, layer, dist, k: int):
+    """The neighbors of v in layer, the vertices at distance k in a ball
+    whose distance map is dist.  v's neighbors are read when they are
+    fewer than the layer's members (about 2N / max(|p|, q) of them, as in
+    _next_cost); otherwise each member is tested by determinant."""
+    p, q = v
+    if len(layer) < 2 * sg.bound // max(abs(p), q):
+        return [u for u in layer if abs(p * u[1] - q * u[0]) == 1]
+    return [u for u in sg._adjacent(p, q) if dist.get(u) == k]
+
+
 def _geodesic_dag(bx: _Ball, by: _Ball, d: int):
     """The vertices of the x->y geodesics, position by position from x,
     and each one's predecessors on them.
@@ -258,7 +269,7 @@ def _geodesic_dag(bx: _Ball, by: _Ball, d: int):
     nearer y).  One step from an end no neighbors are read: x is the only
     predecessor at dx = 1, and y the only successor at dy = 1.
     """
-    adjacent = bx.sg._adjacent
+    sg = bx.sg
     dx, dy = bx.dist, by.dist
     xv, yv = bx.layers[0][0], by.layers[0][0]
     s = min(len(bx.layers) - 1, d)
@@ -272,7 +283,7 @@ def _geodesic_dag(bx: _Ball, by: _Ball, d: int):
     preds: dict[tuple[int, int], list[tuple[int, int]]] = {}
     for k in range(s, 1, -1):
         for v in levels[k]:
-            preds[v] = [u for u in adjacent(*v) if dx.get(u) == k - 1]
+            preds[v] = _adjacent_in_layer(sg, v, bx.layers[k - 1], dx, k - 1)
         levels[k - 1] = list({u for v in levels[k] for u in preds[v]})
     if s:
         preds.update((v, [xv]) for v in levels[1])
@@ -280,9 +291,8 @@ def _geodesic_dag(bx: _Ball, by: _Ball, d: int):
     for k in range(s, d - 1):
         above: dict[tuple[int, int], list[tuple[int, int]]] = {}
         for u in levels[k]:
-            for w in adjacent(*u):
-                if dy.get(w) == d - k - 1:
-                    above.setdefault(w, []).append(u)
+            for w in _adjacent_in_layer(sg, u, by.layers[d - k - 1], dy, d - k - 1):
+                above.setdefault(w, []).append(u)
         preds.update(above)
         levels[k + 1] = list(above)
     if s < d:

@@ -372,7 +372,7 @@ class MobiusMap(_Frozen):
         >>> MobiusMap(0, 1, 1, 0).apply(ExtendedRational(1, 0))
         ExtendedRational(0, 1)
         """
-        return reduce(self.a * x.p + self.b * x.q, self.c * x.p + self.d * x.q)
+        return _map_coprime(self, x.p, x.q)
 
     def compose(self, other: "MobiusMap") -> "MobiusMap":
         """Matrix product: (self.compose(other))(x) = self(other(x))."""
@@ -387,6 +387,21 @@ class MobiusMap(_Frozen):
         # [[d,-b],[-c,a]] inverts up to the +-1 determinant, which acts
         # trivially on slopes.
         return MobiusMap(self.d, -self.b, -self.c, self.a)
+
+
+def _map_coprime(m: MobiusMap, p: int, q: int) -> ExtendedRational:
+    """m(p/q) for a coprime pair (p, q), built without validation.
+
+    A unimodular map keeps a pair coprime, so only the sign is fixed and
+    no gcd is taken.
+    """
+    r, s = m.a * p + m.b * q, m.c * p + m.d * q
+    if s < 0 or (s == 0 and r < 0):
+        r, s = -r, -s
+    v = object.__new__(ExtendedRational)
+    _set(v, "p", r)
+    _set(v, "q", s)
+    return v
 
 
 def mobius_apply(m: MobiusMap, x: ExtendedRational) -> ExtendedRational:

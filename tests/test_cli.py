@@ -23,6 +23,7 @@ from fareybridge.errors import DomainError, OracleBudget, ResourceLimit
 from fareybridge.rationals import (
     INFINITY,
     ZERO,
+    ExtendedRational,
     MobiusMap,
     cf_eval,
     is_adjacent,
@@ -192,6 +193,30 @@ def test_geodesic_set_jsonable_roundtrip():
     assert geodesic_set_from_jsonable(geodesic_set_to_jsonable(gs)) == gs
 
 
+def test_geodesic_set_formats_each_distinct_vertex_once(monkeypatch):
+    m = MobiusMap(123, 47, 34, 13)
+    gs = farey.all_geodesics(m.apply(INFINITY), m.apply(cf_eval([5] + [2] * 8 + [7])))
+    distinct = {v for p in gs.paths for v in p.vertices}
+    assert len(gs.paths) == 55 and len(distinct) == 20
+    calls = 0
+    real_str = ExtendedRational.__str__
+
+    def counting_str(self):
+        nonlocal calls
+        calls += 1
+        return real_str(self)
+
+    monkeypatch.setattr(ExtendedRational, "__str__", counting_str)
+    doc = geodesic_set_to_jsonable(gs)
+    assert calls == len(distinct) + 2  # and once each for "x" and "y"
+    # read back, no two paths share a vertex object, and the output is the same
+    back = geodesic_set_from_jsonable(doc)
+    assert len({id(v) for p in back.paths for v in p.vertices}) == sum(
+        len(p.vertices) for p in back.paths
+    )
+    assert geodesic_set_to_jsonable(back) == doc
+
+
 # ---------------------------------------------------------------- oracle flag
 
 def test_oracle_flag_accepts_correct_results():
@@ -279,6 +304,17 @@ def test_domain_errors_exit_1():
         code, _, err = invoke(*argv)
         assert code == 1, argv
         assert err
+
+
+def test_caps_from_the_environment_past_the_int_str_digit_limit(monkeypatch):
+    monkeypatch.setenv(farey.GEO_CAP_ENV, "9" * 5000)
+    code, out, err = invoke("geodesics", "1/0", "1/2")
+    assert (code, out.splitlines()[0], err) == (0, "distance 2", "")
+    for env, cmd in ((farey.GEO_CAP_ENV, "geodesics"), (farey.LADDER_CAP_ENV, "ladder")):
+        monkeypatch.setenv(env, "-1" + "0" * 5000)
+        code, out, err = invoke(cmd, "1/0", "19/42")
+        assert (code, out) == (1, "")
+        assert err == f"error: {env} must be positive, got -1{'0' * 5000}\n"
 
 
 def test_resource_limits_exit_2():

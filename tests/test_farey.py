@@ -1,7 +1,10 @@
 from __future__ import annotations
 
+import gc
 import math
 import random
+import time
+import tracemalloc
 
 import pytest
 
@@ -26,7 +29,15 @@ from fareybridge.farey import (
     ladder_type,
     spine,
 )
-from fareybridge.rationals import INFINITY, ZERO, MobiusMap, cf_eval, parse_slope
+from fareybridge.rationals import (
+    INFINITY,
+    ZERO,
+    ExtendedRational,
+    MobiusMap,
+    cf_eval,
+    parse_slope,
+    reduce,
+)
 
 sl = parse_slope
 
@@ -203,6 +214,17 @@ def test_geo_cap_from_environment(monkeypatch):
     assert len(all_geodesics(INFINITY, sl("1/2"), cap=10).paths) == 2
 
 
+def test_geo_cap_from_environment_past_the_int_str_digit_limit(monkeypatch):
+    monkeypatch.setenv(farey.GEO_CAP_ENV, "9" * 5000)
+    assert len(all_geodesics(INFINITY, sl("1/2")).paths) == 2
+    monkeypatch.setenv(farey.LADDER_CAP_ENV, "9" * 5000)
+    assert ladder(INFINITY, sl("19/42")).triangle_count == 10
+    for env in (farey.GEO_CAP_ENV, farey.LADDER_CAP_ENV):
+        monkeypatch.setenv(env, "-1" + "0" * 5000)
+        with pytest.raises(DomainError, match=f"^{env} must be positive, got -10{{5000}}$"):
+            farey._resolve_cap(None, env, 1)
+
+
 def test_is_unique_geodesic():
     assert is_unique_geodesic(INFINITY, sl("3/10"))  # all entries >= 3
     assert is_unique_geodesic(INFINITY, sl("2/3"))  # unique without the shortcut
@@ -340,3 +362,111 @@ def test_ladder_keeps_the_rim_of_each_fan():
         farey.Ladder(l.x, l.y, l.triangles, l.runs, l.pivots, l.rims[:-1])
     with pytest.raises(DomainError):
         farey.Ladder(l.x, l.y, l.triangles, l.runs, l.pivots, l.rims[:-1] + (l.rims[-1][1:],))
+
+
+# ---------------------------------------------------------------- enumeration
+
+def _reference_geodesics(x, y) -> list[tuple[ExtendedRational, ...]]:
+    """A second enumeration over the same skeleton: every vertex mapped
+    back by a validated reduce, paths walked backwards from the target as
+    tuples of the vertices' sort ranks, then sorted as rank tuples."""
+    if x == y:
+        return [(x,)]
+    m, entries, conv, dist, _ = farey._skeleton(x, y)
+    points = conv + [(p0 + p1, q0 + q1) for (p0, q0), (p1, q1) in zip(conv, conv[1:])]
+    inv = m.inverse()
+    vertices = [reduce(inv.a * p + inv.b * q, inv.c * p + inv.d * q) for p, q in points]
+    order = sorted(range(len(points)), key=lambda j: (vertices[j].p, vertices[j].q))
+    rank = {j: r for r, j in enumerate(order)}
+    raw = []
+    target = len(conv) - 1
+    stack = [(target, (rank[target],))]
+    while stack:
+        i, tail = stack.pop()
+        if i == 0:
+            raw.append(tail)
+            continue
+        if dist[i - 1] + 1 == dist[i]:
+            stack.append((i - 1, (rank[i - 1],) + tail))
+        a = entries[i - 2] if i >= 2 else 0
+        if a == 1 and dist[i - 2] + 1 == dist[i]:
+            stack.append((i - 2, (rank[i - 2],) + tail))
+        elif a == 2 and dist[i - 2] + 2 == dist[i]:
+            stack.append((i - 2, (rank[i - 2], rank[len(conv) + i - 2]) + tail))
+    raw.sort()
+    return [tuple(vertices[order[r]] for r in path) for path in raw]
+
+
+def _assert_matches_reference(x, y):
+    # == on slopes compares (p, q), so this also checks that the vertices,
+    # built without validation, are in canonical form
+    got = [p.vertices for p in all_geodesics(x, y).paths]
+    assert got == _reference_geodesics(x, y), (x, y)
+
+
+def test_enumeration_matches_the_sorted_reference_on_moved_pairs():
+    pairs = _moved_pairs(909, 2000)
+    for x, y in pairs:
+        _assert_matches_reference(x, y)
+        _assert_matches_reference(y, x)
+
+
+def test_enumeration_matches_the_sorted_reference_on_branchy_slopes():
+    # the benchmark's shape [a] + [2]*k + [b], as is and under 3-digit moves
+    rng = random.Random(17)
+    for k in range(17):
+        y = cf_eval([rng.randint(3, 20)] + [2] * k + [rng.randint(3, 20)])
+        _assert_matches_reference(INFINITY, y)
+        a, c = 1, 1
+        while math.gcd(a, c) != 1:
+            a, c = rng.randrange(100, 1000), rng.randrange(100, 1000)
+        d = pow(a, -1, c)
+        m = MobiusMap(a, (a * d - 1) // c, c, d)
+        _assert_matches_reference(m.apply(INFINITY), m.apply(y))
+        _assert_matches_reference(m.apply(y), m.apply(INFINITY))
+
+
+def test_long_expansion_enumerates_in_linear_time():
+    y = cf_eval([3] * 8000)
+    t0 = time.perf_counter()
+    gs = all_geodesics(INFINITY, y)
+    elapsed = time.perf_counter() - t0
+    assert elapsed < 2.0, f"{elapsed:.2f} s"
+    spine = [(1, 0), (0, 1)]  # 1/0, 0/1 and the convergents
+    for _ in range(8000):
+        (p0, q0), (p1, q1) = spine[-2:]
+        spine.append((3 * p1 + p0, 3 * q1 + q0))
+    assert gs.unique and [(v.p, v.q) for v in gs.paths[0]] == spine
+
+
+def test_enumeration_validates_no_vertex(monkeypatch):
+    counted = 0
+    real_init = ExtendedRational.__init__
+
+    def counting_init(self, p, q):
+        nonlocal counted
+        counted += 1
+        real_init(self, p, q)
+
+    ys = [cf_eval([3] * n) for n in (50, 500)]
+    monkeypatch.setattr(ExtendedRational, "__init__", counting_init)
+    counts = []
+    for y in ys:
+        counted = 0
+        assert all_geodesics(INFINITY, y).unique
+        counts.append(counted)
+    assert counts[0] == counts[1]
+
+
+def test_enumeration_memory_is_what_the_paths_retain():
+    y = cf_eval([2] * 20)
+    all_geodesics(INFINITY, y)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        gs = all_geodesics(INFINITY, y)
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(gs.paths) == 17711
+    assert peak <= 1.5 * retained, (peak, retained)

@@ -253,3 +253,23 @@ def test_meet_grows_the_side_whose_next_layer_is_cheaper(monkeypatch):
     gs = bruteforce_geodesics(INFINITY, sl("4999/8192"), 8192)
     assert (gs.length, len(gs)) == (8, 6)
     assert sum(found) <= 160_000
+
+
+def test_geodesic_walk_tests_small_layers_by_determinant(monkeypatch):
+    # in box 200 each geodesic layer holds a few vertices, fewer than the
+    # neighbors of any vertex on it, so the walk reads no neighbors at all
+    def no_reads(self, p, q):
+        raise AssertionError(f"neighbors of {p}/{q} read")
+
+    sg = BoundedSubgraph(200)
+    for y in map(sl, ("79/182", "19/42", "55/89", "3/10", "1/2", "101/200")):
+        bx, by = oracle._Ball(sg, (1, 0)), oracle._Ball(sg, (y.p, y.q))
+        d = oracle._meet(bx, by)
+        with monkeypatch.context() as m:
+            m.setattr(BoundedSubgraph, "_adjacent", no_reads)
+            levels, preds = oracle._geodesic_dag(bx, by, d)
+        counts = {(1, 0): 1}
+        for level in levels[1:]:
+            for v in level:
+                counts[v] = sum(counts[u] for u in preds[v])
+        assert (d, counts[y.p, y.q]) == farey._length_and_count(INFINITY, y), y
