@@ -450,13 +450,15 @@ def all_geodesics(
     # Walk forward from x, one prefix in place: the steps out of a node add
     # distinct vertices, so taking them in order lists the paths sorted.  A
     # forced run is followed without branching, and each path is copied
-    # once, when it reaches the target.
+    # once, when it reaches the target.  A node has at most two steps, to
+    # the next node and the one after.
     paths = []
     prefix = [x]
-    todo = [(1, (), 0)]  # (prefix length kept, vertices added, node reached)
+    todo = [((), 0)]  # steps still to take
+    kept = [1]  # the length of the prefix each of them extends
     while todo:
-        n, head, i = todo.pop()
-        del prefix[n:]
+        head, i = todo.pop()
+        del prefix[kept.pop():]
         prefix += head
         while len(steps[i]) == 1:
             (head, i), = steps[i]
@@ -466,8 +468,9 @@ def all_geodesics(
             _set(path, "vertices", tuple(prefix))
             paths.append(path)
         else:
-            n = len(prefix)
-            todo += [(n, head, j) for head, j in reversed(steps[i])]
+            first, second = steps[i]
+            todo += second, first
+            kept += len(prefix), len(prefix)
     return _trusted(GeodesicSet, source=x, target=y, length=dist[-1], paths=tuple(paths))
 
 
