@@ -249,9 +249,9 @@ def stabilized_distance(
 
 def _adjacent_in_layer(sg: BoundedSubgraph, v, layer, dist, k: int):
     """The neighbors of v in layer, the vertices at distance k in a ball
-    whose distance map is dist.  v's neighbors are read when they are
-    fewer than the layer's members (about 2N / max(|p|, q) of them, as in
-    _next_cost); otherwise each member is tested by determinant."""
+    whose distance map is dist.  The layer's members are tested by
+    determinant when they are fewer than v's neighbors (about
+    2N / max(|p|, q), as in _next_cost); otherwise v's neighbors are read."""
     p, q = v
     if len(layer) < 2 * sg.bound // max(abs(p), q):
         return [u for u in layer if abs(p * u[1] - q * u[0]) == 1]
