@@ -20,11 +20,14 @@ from .errors import DomainError, ResourceLimit
 from .farey import GeodesicSet
 from .rationals import (
     INFINITY,
+    ContinuedFraction,
     ExtendedRational,
+    _checked_entries,
     _Frozen,
     _int_text,
     _list_text,
     _set,
+    _trusted,
     cf_eval,
 )
 
@@ -85,7 +88,7 @@ class TwoBridgeLink(_Frozen):
     @property
     def slope(self) -> ExtendedRational:
         """The tangle slope p/q; 1/0 for S(0, 1)."""
-        return ExtendedRational(self.p, self.q) if self.q else INFINITY
+        return _trusted(ExtendedRational, self.p, self.q) if self.q else INFINITY
 
     @property
     def is_trivial_knot(self) -> bool:
@@ -194,15 +197,9 @@ def classify_02(
     else:
         gs = None
         length, count = farey._length_and_count(INFINITY, link.slope)
-    return SplittingReport(
-        subject=str(link),
-        splitting="02",
-        distance=length,
-        case="02",
-        keen=True,
-        strongly_keen=count == 1,
-        note=KEEN_02_NOTE,
-        geodesics=gs,
+    # subject, splitting, distance, case, keen, strongly_keen, exact, note, geodesics
+    return _trusted(
+        SplittingReport, str(link), "02", length, "02", True, count == 1, True, KEEN_02_NOTE, gs
     )
 
 
@@ -213,26 +210,16 @@ def classify_03(composite: CompositeLink) -> SplittingReport:
     case (i) trivial knot, (ii) one nontrivial summand, (iii) connected
     sum of two nontrivial summands; such splittings are never keen.
     """
+    # subject, splitting, distance, case, keen, strongly_keen, exact, note, geodesics
+    subject = str(composite)
     if any(s.is_trivial_2component for s in composite.summands):
-        return SplittingReport(
-            subject=str(composite),
-            splitting="03",
-            distance=0,
-            case="0",
-            keen=None,
-            strongly_keen=None,
-            note=_DISTANCE0_03_NOTE,
+        return _trusted(
+            SplittingReport, subject, "03", 0, "0", None, None, True, _DISTANCE0_03_NOTE, None
         )
     nontrivial = [s for s in composite.summands if not s.is_trivial_knot]
     case = ("i", "ii", "iii")[len(nontrivial)]
-    return SplittingReport(
-        subject=str(composite),
-        splitting="03",
-        distance=1,
-        case=case,
-        keen=False,
-        strongly_keen=False,
-        note=_NOT_KEEN_03_NOTE,
+    return _trusted(
+        SplittingReport, subject, "03", 1, case, False, False, True, _NOT_KEEN_03_NOTE, None
     )
 
 
@@ -260,7 +247,8 @@ def make_strongly_keen_example(
             f"need {_int_text(n - 1)} entries for distance {_int_text(n)}, "
             f"got {len(entries)}"
         )
-    if any(a < 3 for a in entries):
+    if any(a < 3 for a in _checked_entries(entries)):
         raise DomainError(f"entries must all be >= 3, got {_list_text(entries)}")
-    slope = cf_eval(entries)
-    return TwoBridgeLink(q=slope.q, p=slope.p)
+    # Entries >= 3 are a canonical expansion, and p/q in (0, 1) is coprime.
+    slope = cf_eval(_trusted(ContinuedFraction, entries))
+    return _trusted(TwoBridgeLink, slope.q, slope.p)

@@ -22,14 +22,11 @@ from .errors import (
 )
 from .farey import FareyPath, GeodesicSet
 from .rationals import (
-    ZERO,
     ExtendedRational,
     _int_text,
     _parse_int,
     cf_eval,
     cf_expand,
-    convergents,
-    normalize_pair,
     parse_slope,
 )
 
@@ -65,8 +62,30 @@ def geodesic_set_to_jsonable(gs: GeodesicSet) -> dict:
     }
 
 
+def _fields(d, **types) -> list:
+    """The values of the fields named in types, in that order; DomainError
+    unless d is an object holding each of them with a value of its type (or
+    one of its types).  The types are exact, as json.loads gives them, so a
+    bool or a float is never taken for an int."""
+    if type(d) is not dict:
+        raise DomainError(f"expected a JSON object, got {type(d).__name__}")
+    values = []
+    for key, kinds in types.items():
+        if key not in d:
+            raise DomainError(f"missing field {key!r}")
+        value = d[key]
+        kinds = kinds if isinstance(kinds, tuple) else (kinds,)
+        if type(value) not in kinds:
+            names = " or ".join(k.__name__ for k in kinds)
+            raise DomainError(f"field {key!r} must be {names}, got {type(value).__name__}")
+        values.append(value)
+    return values
+
+
 def _geodesic_set(x: str, y: str, length: int, paths: list) -> GeodesicSet:
     """Parse a serialized geodesic set; the public constructors check it."""
+    if not all(type(p) is list and all(type(s) is str for s in p) for p in paths):
+        raise DomainError("geodesics must be lists of slopes written as strings")
     return GeodesicSet(
         parse_slope(x),
         parse_slope(y),
@@ -76,7 +95,7 @@ def _geodesic_set(x: str, y: str, length: int, paths: list) -> GeodesicSet:
 
 
 def geodesic_set_from_jsonable(d: dict) -> GeodesicSet:
-    return _geodesic_set(d["x"], d["y"], d["distance"], d["geodesics"])
+    return _geodesic_set(*_fields(d, x=str, y=str, distance=int, geodesics=list))
 
 
 def report_to_jsonable(r: bridge.SplittingReport) -> dict:
@@ -98,22 +117,16 @@ def report_to_jsonable(r: bridge.SplittingReport) -> dict:
 
 
 def report_from_jsonable(d: dict) -> bridge.SplittingReport:
+    tri = (bool, type(None))
+    fields = _fields(  # SplittingReport's fields, in order
+        d, subject=str, splitting=str, distance=int, case=str, keen=tri, strongly_keen=tri,
+        exact=bool, note=str,
+    )
     gs = None
     if "geodesics" in d:
-        gs = _geodesic_set(
-            d["geodesics_x"], d["geodesics_y"], d["distance"], d["geodesics"]
-        )
-    return bridge.SplittingReport(
-        subject=d["subject"],
-        splitting=d["splitting"],
-        distance=d["distance"],
-        case=d["case"],
-        keen=d["keen"],
-        strongly_keen=d["strongly_keen"],
-        exact=d["exact"],
-        note=d["note"],
-        geodesics=gs,
-    )
+        x, y, paths = _fields(d, geodesics_x=str, geodesics_y=str, geodesics=list)
+        gs = _geodesic_set(x, y, fields[2], paths)
+    return bridge.SplittingReport(*fields, gs)
 
 
 def _dump(payload: dict) -> str:
@@ -242,18 +255,11 @@ def _build_parser() -> _Parser:
 # ---------------------------------------------------------------- oracle check
 
 def _oracle_bound(x: ExtendedRational, y: ExtendedRational) -> int:
-    """The box around the convergents 1/0, 0/1, c_1, ..., c_n of the
-    normalized pair, mapped back.  Ladder vertices are c_{k-2} + j*c_{k-1},
-    0 <= j <= a_k, mapped back linearly, so their |p| and q are convex in j
-    and peak at a convergent: the box holds the ladder, so every geodesic,
-    and no ladder is built.  Over the oracle budget: OracleBudget, no BFS."""
+    """The oracle's box, farey._ladder_box(x, y), which holds every geodesic.
+    Over the oracle budget: OracleBudget, and no BFS."""
     from . import oracle
 
-    corners = [x]
-    if x != y:
-        m, image = normalize_pair(x, y)
-        corners += map(m.inverse().apply, (ZERO, *convergents(cf_expand(image))))
-    bound = max(max(abs(v.p), v.q) for v in corners)
+    bound = farey._ladder_box(x, y)
     budget = oracle.DEFAULT_ORACLE_BUDGET
     if bound > budget:
         raise OracleBudget(f"oracle check would need bound {_int_text(bound)} > budget {budget}")

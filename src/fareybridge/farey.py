@@ -3,7 +3,8 @@
 Vertices are canonical slopes, edges are pairs with |det| = 1.  A pair is
 normalized so the source is 1/0 and the target is p/q in [0, 1), and p/q
 is expanded as [a1, ..., an] with convergents c_{-1} = 1/0, c_0 = 0/1,
-..., c_n = p/q.  Geodesics run along these: c_{k-1} to c_k is an edge,
+..., c_n = p/q: this is the frame (_frame) every answer is read off.
+Geodesics run along it: c_{k-1} to c_k is an edge,
 c_{k-2} to c_k is an edge when a_k = 1 and two edges through the mediant
 c_{k-2} + c_{k-1} when a_k = 2, and a recurrence over them gives the
 distance and the geodesic count in O(n) steps.  The geodesics themselves are
@@ -13,7 +14,9 @@ output: each vertex they visit is mapped back once, without a gcd.
 Ladders lay down n fans of triangles, fan i with a_i triangles around its
 pivot c_{i-1}; its rim walks the intermediate mediants from the previous
 pivot to the next, so the L/R run lengths are (a1, ..., an), first run L.
-Every geodesic lies in the ladder; distance is found by BFS inside it.
+Every geodesic lies in the ladder; distance is found by BFS inside it, and
+the --oracle box (_ladder_box) is the ladder's, read off the frame.  The
+values built here are built unchecked (rationals._trusted).
 """
 
 from __future__ import annotations
@@ -30,13 +33,13 @@ from .errors import (
     SpineUndefined,
 )
 from .rationals import (
-    ZERO,
     ExtendedRational,
     _Frozen,
     _int_text,
     _map_coprime,
     _parse_int,
     _set,
+    _trusted,
     cf_expand,
     det,
     is_adjacent,
@@ -89,16 +92,6 @@ def _sort_key(v: ExtendedRational) -> tuple[int, int]:
 
 def _first_vertex_key(step) -> tuple[int, int]:
     return _sort_key(step[0][0])
-
-
-def _trusted(cls, **fields):
-    """An instance of a frozen value type built without its __init__, so
-    without validation, for values this module constructed and that hold
-    its invariants already."""
-    obj = object.__new__(cls)
-    for name, value in fields.items():
-        object.__setattr__(obj, name, value)
-    return obj
 
 
 class FareyTriangle(_Frozen):
@@ -268,45 +261,33 @@ def ladder(
         raise DegenerateLadder(f"{x} and {y} are adjacent; the ladder is empty")
     cap = _resolve_cap(vertex_cap, LADDER_CAP_ENV, DEFAULT_LADDER_CAP)
 
-    m, image = normalize_pair(x, y)
-    # image = 0/1 would mean adjacency, excluded above; so image is in (0,1).
-    cf = cf_expand(image)
-    n_vertices = sum(cf.entries) + 2
+    m, entries, conv = _frame(x, y)
+    # m(y) = 0/1 would mean adjacency, excluded above; so entries is not empty.
+    n_vertices = sum(entries) + 2
     if n_vertices > cap:
         raise LadderTooLarge(
             f"ladder needs {_int_text(n_vertices)} vertices, cap is {cap}"
         )
 
+    # The convergents are mapped back once, into cv, which the fans share;
+    # each interior mediant lies on one fan only and is mapped there.  Fan i
+    # pivots around c_{i-1}, and its rim walks c_{i-2} + j*c_{i-1} up to c_i.
     inv = m.inverse()
-    back: dict[tuple[int, int], ExtendedRational] = {}
-
-    def mapped(p: int, q: int) -> ExtendedRational:
-        v = back.get((p, q))
-        if v is None:
-            v = _map_coprime(inv, p, q)
-            back[(p, q)] = v
-        return v
-
+    cv = [x, *[_map_coprime(inv, p, q) for p, q in conv[1:-1]], y]
     triangles: list[FareyTriangle] = []
-    pivots: list[ExtendedRational] = []
     rims: list[tuple[ExtendedRational, ...]] = []
-    # Convergent frame: c_{-1} = 1/0, c_0 = 0/1; fan i pivots around c_{i-1}
-    # and its rim walks the mediants from c_{i-2} up to c_i.
-    cp, cq = 1, 0
-    dp, dq = 0, 1
-    for i, a in enumerate(cf.entries):
-        label = "L" if i % 2 == 0 else "R"
-        pivot = mapped(dp, dq)
-        pivots.append(pivot)
-        rim = [mapped(cp, cq)]
-        for j in range(1, a + 1):
-            rim.append(mapped(cp + j * dp, cq + j * dq))
-            vs = sorted((pivot, rim[-2], rim[-1]), key=_sort_key)
-            triangles.append(_trusted(FareyTriangle, vertices=tuple(vs), label=label))
-        rims.append(tuple(rim))
-        cp, cq, dp, dq = dp, dq, cp + a * dp, cq + a * dq
-
-    return Ladder(x, y, tuple(triangles), cf.entries, tuple(pivots), tuple(rims))
+    for i, a in enumerate(entries):
+        label, pivot = "R" if i % 2 else "L", cv[i + 1]
+        (p0, q0), (p1, q1) = conv[i], conv[i + 1]
+        mediants = [_map_coprime(inv, p0 + j * p1, q0 + j * q1) for j in range(1, a)]
+        rim = (cv[i], *mediants, cv[i + 2])
+        for u, v in zip(rim, rim[1:]):  # _trusted inlined, as it runs once a triangle
+            t = object.__new__(FareyTriangle)
+            _set(t, "vertices", tuple(sorted((pivot, u, v), key=_sort_key)))
+            _set(t, "label", label)
+            triangles.append(t)
+        rims.append(rim)
+    return _trusted(Ladder, x, y, tuple(triangles), entries, tuple(cv[1:-1]), tuple(rims))
 
 
 def ladder_type(l: Ladder) -> tuple[int, ...]:
@@ -324,7 +305,7 @@ def spine(l: Ladder) -> FareyPath:
         raise SpineUndefined(
             f"spine needs >= 3 triangles, ladder has {l.triangle_count}"
         )
-    return FareyPath((l.x,) + l.pivots + (l.y,))
+    return _trusted(FareyPath, (l.x,) + l.pivots + (l.y,))
 
 
 def _adjacency(l: Ladder) -> dict[ExtendedRational, list[ExtendedRational]]:
@@ -366,21 +347,49 @@ def distance(
     raise DomainError(f"ladder disconnected between {x} and {y}; invariant broken")
 
 
-def _skeleton(x: ExtendedRational, y: ExtendedRational):
-    """(m, entries, conv, dist, count) for distinct x, y: m normalizes the
-    pair, conv holds the convergents from 1/0 to m(y) as integer pairs, and
-    dist[i], count[i] are the distance from 1/0 to conv[i] and the number of
-    geodesics realizing it.  A skip past a_k = 2 through the pivot is the
-    two steps already counted, so only the mediant route adds to it.
-    """
+def _frame(x: ExtendedRational, y: ExtendedRational):
+    """(m, entries, conv) for distinct x, y: m normalizes the pair, entries
+    expand m(y), and conv holds the convergents c_{-1} = 1/0, c_0 = 0/1,
+    ..., c_n = m(y) as integer pairs."""
     m, image = normalize_pair(x, y)
     entries = cf_expand(image).entries
     conv = [(1, 0), (0, 1)]
+    for a in entries:
+        (p0, q0), (p1, q1) = conv[-2], conv[-1]
+        conv.append((a * p1 + p0, a * q1 + q0))
+    return m, entries, conv
+
+
+def _ladder_box(x: ExtendedRational, y: ExtendedRational) -> int:
+    """max(|p|, q) over the vertices of the ladder between x and y, and over
+    x alone when x = y; no ladder is built.
+
+    The ladder's vertices are c_{k-2} + j*c_{k-1}, 0 <= j <= a_k, mapped back
+    linearly, so their |p| and q are convex in j and peak at a convergent:
+    the box of x and the mapped-back convergents 0/1, c_1, ..., c_n holds
+    the ladder, and so every geodesic.
+    """
+    bound = max(abs(x.p), x.q)
+    if x == y:
+        return bound
+    m, _, conv = _frame(x, y)
+    inv = m.inverse()
+    for p, q in conv[1:]:
+        bound = max(bound, abs(inv.a * p + inv.b * q), abs(inv.c * p + inv.d * q))
+    return bound
+
+
+def _skeleton(x: ExtendedRational, y: ExtendedRational):
+    """(m, entries, conv, dist, count) for distinct x, y: _frame's m, entries
+    and conv, and dist[i], count[i], the distance from 1/0 to conv[i] and
+    the number of geodesics realizing it.  A skip past a_k = 2 through the
+    pivot is the two steps already counted, so only the mediant route adds
+    to it.
+    """
+    m, entries, conv = _frame(x, y)
     dist = [0, 1]
     count = [1, 1]
     for i, a in enumerate(entries, start=2):
-        (p0, q0), (p1, q1) = conv[i - 2], conv[i - 1]
-        conv.append((a * p1 + p0, a * q1 + q0))
         d, c = dist[i - 1] + 1, count[i - 1]
         if a <= 2:
             skip = dist[i - 2] + a
@@ -416,7 +425,7 @@ def all_geodesics(
     """
     cap_value = _resolve_cap(cap, GEO_CAP_ENV, DEFAULT_GEO_CAP)
     if x == y:
-        return GeodesicSet(x, y, 0, (FareyPath((x,)),))
+        return _trusted(GeodesicSet, x, y, 0, (_trusted(FareyPath, (x,)),))
     m, entries, conv, dist, count = _skeleton(x, y)
     if count[-1] > cap_value:
         raise EnumerationOverflow(
@@ -471,7 +480,7 @@ def all_geodesics(
             first, second = steps[i]
             todo += second, first
             kept += len(prefix), len(prefix)
-    return _trusted(GeodesicSet, source=x, target=y, length=dist[-1], paths=tuple(paths))
+    return _trusted(GeodesicSet, x, y, dist[-1], tuple(paths))
 
 
 def is_unique_geodesic(x: ExtendedRational, y: ExtendedRational) -> bool:

@@ -130,6 +130,27 @@ class _Frozen:
         return self.__class__, self._values(self)
 
 
+def _trusted(cls, *values):
+    """An instance of a value type built without its __init__, so without
+    validation, from its fields in __slots__ order.  For values the library
+    built from checked values, which hold the type's invariants already."""
+    obj = object.__new__(cls)
+    for name, value in zip(cls.__slots__, values):
+        _set(obj, name, value)
+    return obj
+
+
+def _checked_entries(entries) -> tuple[int, ...]:
+    """entries as a tuple, or DomainError unless each one is an int >= 1."""
+    es = tuple(entries)
+    for a in es:
+        if not isinstance(a, int):
+            raise DomainError(f"entries must be integers, got {a!r}")
+        if a < 1:
+            raise DomainError(f"entries must be positive: {_list_text(es)}")
+    return es
+
+
 @total_ordering
 class ExtendedRational(_Frozen):
     """A slope p/q in lowest terms; q = 0 encodes the point at infinity.
@@ -210,7 +231,7 @@ def reduce(p: int, q: int) -> ExtendedRational:
         p, q = -p, -q
     if q == 0:
         p = 1
-    return ExtendedRational(p, q)
+    return _trusted(ExtendedRational, p, q)
 
 
 def parse_slope(text: str) -> ExtendedRational:
@@ -250,10 +271,8 @@ class ContinuedFraction(_Frozen):
     __slots__ = ("entries",)
 
     def __init__(self, entries: tuple[int, ...]):
-        es = tuple(entries)
+        es = _checked_entries(entries)
         _set(self, "entries", es)
-        if any(a < 1 for a in es):
-            raise DomainError(f"entries must be positive: {_list_text(es)}")
         if es and es[-1] < 2:
             raise DomainError(f"canonical form requires last entry >= 2: {_list_text(es)}")
 
@@ -288,7 +307,7 @@ def cf_expand(x: ExtendedRational) -> ContinuedFraction:
         a, r = divmod(q, p)
         entries.append(a)
         p, q = r, p
-    return ContinuedFraction(tuple(entries))
+    return _trusted(ContinuedFraction, tuple(entries))
 
 
 def cf_eval(entries: ContinuedFraction | Sequence[int]) -> ExtendedRational:
@@ -302,16 +321,11 @@ def cf_eval(entries: ContinuedFraction | Sequence[int]) -> ExtendedRational:
     >>> cf_eval([2, 3, 3, 2, 3])
     ExtendedRational(79, 182)
     """
-    if isinstance(entries, ContinuedFraction):
-        es = entries.entries
-    else:
-        es = tuple(entries)
-        if any(a < 1 for a in es):
-            raise DomainError(f"entries must be positive: {_list_text(es)}")
+    es = entries.entries if isinstance(entries, ContinuedFraction) else _checked_entries(entries)
     p, q = 0, 1
     for a in reversed(es):
         p, q = q, a * q + p
-    return ExtendedRational(p, q)
+    return _trusted(ExtendedRational, p, q)
 
 
 def convergents(entries: ContinuedFraction | Sequence[int]) -> tuple[ExtendedRational, ...]:
@@ -323,14 +337,12 @@ def convergents(entries: ContinuedFraction | Sequence[int]) -> tuple[ExtendedRat
     >>> [str(c) for c in convergents([2, 3, 3, 2, 3])]
     ['1/2', '3/7', '10/23', '23/53', '79/182']
     """
-    es = entries.entries if isinstance(entries, ContinuedFraction) else tuple(entries)
-    if any(a < 1 for a in es):
-        raise DomainError(f"entries must be positive: {_list_text(es)}")
+    es = entries.entries if isinstance(entries, ContinuedFraction) else _checked_entries(entries)
     out = []
     h0, k0, h1, k1 = 1, 0, 0, 1  # h/k pairs for c_{-1} = 1/0 and c_0 = 0/1
     for a in es:
         h0, k0, h1, k1 = h1, k1, a * h1 + h0, a * k1 + k0
-        out.append(ExtendedRational(h1, k1))
+        out.append(_trusted(ExtendedRational, h1, k1))
     return tuple(out)
 
 
@@ -357,12 +369,12 @@ class MobiusMap(_Frozen):
 
     @classmethod
     def identity(cls) -> "MobiusMap":
-        return cls(1, 0, 0, 1)
+        return _trusted(cls, 1, 0, 0, 1)
 
     @classmethod
     def translation(cls, k: int) -> "MobiusMap":
         """x -> x + k; fixes 1/0."""
-        return cls(1, k, 0, 1)
+        return _trusted(cls, 1, k, 0, 1)
 
     def apply(self, x: ExtendedRational) -> ExtendedRational:
         """Projective action on slopes.
@@ -376,7 +388,8 @@ class MobiusMap(_Frozen):
 
     def compose(self, other: "MobiusMap") -> "MobiusMap":
         """Matrix product: (self.compose(other))(x) = self(other(x))."""
-        return MobiusMap(
+        return _trusted(
+            MobiusMap,
             self.a * other.a + self.b * other.c,
             self.a * other.b + self.b * other.d,
             self.c * other.a + self.d * other.c,
@@ -386,7 +399,7 @@ class MobiusMap(_Frozen):
     def inverse(self) -> "MobiusMap":
         # [[d,-b],[-c,a]] inverts up to the +-1 determinant, which acts
         # trivially on slopes.
-        return MobiusMap(self.d, -self.b, -self.c, self.a)
+        return _trusted(MobiusMap, self.d, -self.b, -self.c, self.a)
 
 
 def _map_coprime(m: MobiusMap, p: int, q: int) -> ExtendedRational:
@@ -443,12 +456,11 @@ def normalize_pair(
     else:
         g, u, v = _xgcd(x.p, x.q)
         # g = 1 because x is canonical; rows (u, v) and (-q, p) are a basis.
-        m = MobiusMap(u, v, -x.q, x.p)
+        m = _trusted(MobiusMap, u, v, -x.q, x.p)
+    # m(x) = 1/0 and m is a bijection, so m(y) is finite.
     image = m.apply(y)
-    if image.is_infinity:
-        raise DomainError("normalize_pair image collapse; endpoints not distinct")
-    k = image.floor()
+    k = image.p // image.q
     if k:
         m = MobiusMap.translation(-k).compose(m)
-        image = ExtendedRational(image.p - k * image.q, image.q)
+        image = _trusted(ExtendedRational, image.p - k * image.q, image.q)
     return m, image

@@ -184,6 +184,12 @@ def test_make_strongly_keen_example_rejects_bad_input():
         make_strongly_keen_example(3, (3, 2))  # entry below 3
 
 
+@pytest.mark.parametrize("bad", [2.5, 3.5, "3", None])
+def test_make_strongly_keen_example_rejects_non_integer_entries(bad):
+    with pytest.raises(DomainError, match="^entries must be integers, got "):
+        make_strongly_keen_example(3, [bad, 3])
+
+
 def test_classify_02_long_expansion():
     y = cf_eval([3] * 600)
     rep = classify_02(TwoBridgeLink(y.q, y.p))

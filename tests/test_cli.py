@@ -274,6 +274,57 @@ def test_readers_reject_inconsistent_geodesics(argv, reader):
             reader(bad)
 
 
+def _without(key):
+    return lambda doc: {k: v for k, v in doc.items() if k != key}
+
+
+def _with(**fields):
+    return lambda doc: dict(doc, **fields)
+
+
+_READERS = {
+    "geodesics": (("geodesics", "1/0", "19/42"), geodesic_set_from_jsonable),
+    "report": (("classify-2bridge", "42", "19"), report_from_jsonable),
+}
+_EITHER = [
+    ("empty object", lambda doc: {}),
+    ("list for the document", lambda doc: [doc]),
+    ("null for the document", lambda doc: None),
+    ("null geodesics", _with(geodesics=None)),
+    ("vertex 5", _with(geodesics=[[5, "1/2"]])),
+    ("path 5", _with(geodesics=[5])),
+    ("float distance", _with(distance=4.0)),
+    ("bool distance", _with(distance=True)),
+    ("string distance", _with(distance="4")),
+]
+_MALFORMED = [(kind, *case) for kind in _READERS for case in _EITHER] + [
+    ("geodesics", "no x", _without("x")),
+    ("geodesics", "null x", _with(x=None)),
+    ("geodesics", "int y", _with(y=5)),
+    ("report", "no note", _without("note")),
+    ("report", "no geodesics_y", _without("geodesics_y")),
+    ("report", "null geodesics_x", _with(geodesics_x=None)),
+    ("report", "string keen", _with(keen="yes")),
+    ("report", "int strongly_keen", _with(strongly_keen=1)),
+    ("report", "int splitting", _with(splitting=5)),
+    ("report", "null exact", _with(exact=None)),
+    ("report", "null subject", _with(subject=None)),
+]
+
+
+@pytest.mark.parametrize(
+    "kind, change", [(kind, change) for kind, _, change in _MALFORMED],
+    ids=[f"{kind}: {name}" for kind, name, _ in _MALFORMED],
+)
+def test_readers_reject_malformed_documents(kind, change):
+    argv, reader = _READERS[kind]
+    doc = invoke_json(*argv)
+    assert doc["distance"] == 4
+    reader(doc)
+    with pytest.raises(DomainError):
+        reader(change(doc))
+
+
 # ---------------------------------------------------------------- failure modes
 
 def test_usage_errors_exit_64():

@@ -132,6 +132,19 @@ def test_cf_eval_rejects_nonpositive_entries():
         cf_eval([-1])
 
 
+@pytest.mark.parametrize("bad", [2.5, "3", None])
+@pytest.mark.parametrize("entry_point", [ContinuedFraction, cf_eval, convergents])
+def test_entries_must_be_integers(entry_point, bad):
+    with pytest.raises(DomainError, match="^entries must be integers, got "):
+        entry_point((2, bad, 3))
+
+
+def test_nonpositive_entry_message():
+    for entry_point in (ContinuedFraction, cf_eval, convergents):
+        with pytest.raises(DomainError, match=r"^entries must be positive: \[0, 2\]$"):
+            entry_point([0, 2])
+
+
 @pytest.mark.parametrize("entries", [(0,), (1,), (2, 1), (1, 2, 0), (3, 1)])
 def test_continued_fraction_type_rejects_noncanonical(entries):
     with pytest.raises(DomainError):

@@ -10,9 +10,9 @@ import pickle
 import pytest
 
 import fareybridge as fb
-from fareybridge import farey
 from fareybridge.errors import DomainError
 from fareybridge.oracle import BoundedSubgraph
+from fareybridge.rationals import _trusted
 
 sl = fb.parse_slope
 INF, ZERO = fb.INFINITY, fb.ZERO
@@ -184,9 +184,9 @@ def test_continued_fraction_keeps_entries_as_a_tuple():
 
 
 def test_trusted_construction_equals_the_validated_one():
-    vs = (INF, ZERO, sl("1/2"))
-    trusted = farey._trusted(fb.FareyPath, vertices=vs)
-    assert type(trusted) is fb.FareyPath
-    assert trusted == fb.FareyPath(vs) and hash(trusted) == hash(fb.FareyPath(vs))
-    assert repr(trusted) == repr(fb.FareyPath(vs))
+    for cls, fields, _, _ in CASES:
+        trusted, checked = _trusted(cls, *fields.values()), cls(**fields)
+        assert type(trusted) is cls
+        assert trusted == checked and hash(trusted) == hash(checked), cls
+        assert repr(trusted) == repr(checked)
 
