@@ -151,6 +151,10 @@ class SplittingReport(_Frozen):
         values = (subject, splitting, distance, case, keen, strongly_keen, exact, note, geodesics)
         for name, value in zip(self.__slots__, values):
             _set(self, name, value)
+        if splitting not in ("02", "03"):
+            raise DomainError(f"splitting must be 02 or 03, got {splitting!r}")
+        if case not in ("02", "0", "i", "ii", "iii"):
+            raise DomainError(f"case must be one of 02, 0, i, ii, iii, got {case!r}")
         if distance < 0:
             raise DomainError("distance must be non-negative")
         if strongly_keen and not keen:

@@ -46,19 +46,14 @@ SCHEMA_VERSION = 1
 # ---------------------------------------------------------------- serialization
 
 def geodesic_set_to_jsonable(gs: GeodesicSet) -> dict:
-    # The paths of an all_geodesics set share one object per vertex, so
-    # each distinct vertex is formatted once, where it first appears.
-    names: dict[int, str] = {}
+    # The set makes its paths' texts once, each distinct vertex formatted once.
     return {
         "x": str(gs.source),
         "y": str(gs.target),
         "distance": gs.length,
         "unique": gs.unique,
         "count": len(gs.paths),
-        "geodesics": [
-            [names.get(id(v)) or names.setdefault(id(v), str(v)) for v in p.vertices]
-            for p in gs.paths
-        ],
+        "geodesics": [list(t) for t in gs._texts],
     }
 
 
@@ -256,13 +251,16 @@ def _build_parser() -> _Parser:
 
 def _oracle_bound(x: ExtendedRational, y: ExtendedRational) -> int:
     """The oracle's box, farey._ladder_box(x, y), which holds every geodesic.
-    Over the oracle budget: OracleBudget, and no BFS."""
+    Over the oracle budget: OracleBudget, as soon as the box passes it, and
+    no BFS."""
     from . import oracle
 
-    bound = farey._ladder_box(x, y)
     budget = oracle.DEFAULT_ORACLE_BUDGET
+    bound = farey._ladder_box(x, y, budget)
     if bound > budget:
-        raise OracleBudget(f"oracle check would need bound {_int_text(bound)} > budget {budget}")
+        raise OracleBudget(
+            f"oracle check would need bound at least {_int_text(bound)} > budget {budget}"
+        )
     return bound
 
 

@@ -7,22 +7,35 @@ is expanded as [a1, ..., an] with convergents c_{-1} = 1/0, c_0 = 0/1,
 Geodesics run along it: c_{k-1} to c_k is an edge,
 c_{k-2} to c_k is an edge when a_k = 1 and two edges through the mediant
 c_{k-2} + c_{k-1} when a_k = 2, and a recurrence over them gives the
-distance and the geodesic count in O(n) steps.  The geodesics themselves are
-listed in sorted order as they are built, in time and memory linear in the
-output: each vertex they visit is mapped back once, without a gcd.
+distance and the geodesic count in O(n) steps.  The --oracle box
+(_ladder_box) is read off the convergents too, and stops once it passes the
+budget.  The geodesics themselves are listed in sorted order as they are
+built, in time and memory linear in the output: each vertex they visit is
+mapped back once, without a gcd.
+
+Vertex texts are made in all_geodesics, where each vertex is mapped back:
+each is formatted once, and the walk that copies the vertices into every
+path through them copies their strings beside them, into the set's texts
+(GeodesicSet._texts); serializing a set only copies those rows.  Vertices
+past _NAMED_BITS, where str costs time quadratic in the digits, are not
+named there, and a set built by the public constructor, as the JSON reader
+and the oracle build theirs, is not named either: their texts are made on
+first read, each distinct vertex object formatted once (_name_paths), so
+nothing is formatted for a set that is never output.
 
 Ladders lay down n fans of triangles, fan i with a_i triangles around its
 pivot c_{i-1}; its rim walks the intermediate mediants from the previous
 pivot to the next, so the L/R run lengths are (a1, ..., an), first run L.
-Every geodesic lies in the ladder; distance is found by BFS inside it, and
-the --oracle box (_ladder_box) is the ladder's, read off the frame.  The
-values built here are built unchecked (rationals._trusted).
+Every geodesic lies in the ladder, and distance is found by BFS inside it.
+The values built here are built unchecked (rationals._trusted).
 """
 
 from __future__ import annotations
 
 import os
 from collections import deque
+from functools import partial
+from itertools import chain
 
 from .errors import (
     DegenerateLadder,
@@ -34,10 +47,12 @@ from .errors import (
 )
 from .rationals import (
     ExtendedRational,
+    _convergent_pairs,
     _Frozen,
     _int_text,
     _map_coprime,
     _parse_int,
+    _quotients,
     _set,
     _trusted,
     cf_expand,
@@ -67,10 +82,15 @@ DEFAULT_LADDER_CAP = 10**6  # ladder vertices
 DEFAULT_GEO_CAP = 10**5  # enumerated geodesics
 LADDER_CAP_ENV = "FAREY_LADDER_CAP"
 GEO_CAP_ENV = "FAREY_GEO_CAP"
+# all_geodesics names vertices as it walks while they have at most this many
+# bits, where str of p and q costs about 1 us each, like mapping them back.
+_NAMED_BITS = 512
 
 
 def _resolve_cap(explicit: int | None, env_name: str, default: int) -> int:
     if explicit is not None:
+        if type(explicit) is not int:
+            raise DomainError(f"cap must be an int, got {type(explicit).__name__}")
         if explicit < 1:
             raise DomainError(f"cap must be positive, got {_int_text(explicit)}")
         return explicit
@@ -209,9 +229,15 @@ class Ladder(_Frozen):
 
 
 class GeodesicSet(_Frozen):
-    """Every shortest path between two slopes, in deterministic order."""
+    """Every shortest path between two slopes, in deterministic order.
 
-    __slots__ = ("source", "target", "length", "paths")
+    _texts holds each path's vertices as text, path by path: each
+    distinct vertex object is formatted once, and the paths share the
+    strings.  _named holds them, or the function that makes them on first
+    read.
+    """
+
+    __slots__ = ("source", "target", "length", "paths", "_named")
 
     def __init__(
         self,
@@ -231,6 +257,15 @@ class GeodesicSet(_Frozen):
                 raise DomainError("path length disagrees with the set")
         if len(set(paths)) != len(paths):
             raise DomainError("duplicate geodesic")
+        _set(self, "_named", partial(_name_paths, paths))
+
+    @property
+    def _texts(self) -> tuple[tuple[str, ...], ...]:
+        named = self._named
+        if callable(named):
+            named = named()
+            _set(self, "_named", named)
+        return named
 
     @property
     def unique(self) -> bool:
@@ -241,6 +276,15 @@ class GeodesicSet(_Frozen):
 
     def __iter__(self):
         return iter(self.paths)
+
+
+def _name_paths(paths: tuple[FareyPath, ...]) -> tuple[tuple[str, ...], ...]:
+    """The paths' vertices as text, each distinct vertex object formatted once."""
+    names: dict[int, str] = {}
+    return tuple(
+        tuple([names.get(id(v)) or names.setdefault(id(v), str(v)) for v in p.vertices])
+        for p in paths
+    )
 
 
 def ladder(
@@ -353,16 +397,14 @@ def _frame(x: ExtendedRational, y: ExtendedRational):
     ..., c_n = m(y) as integer pairs."""
     m, image = normalize_pair(x, y)
     entries = cf_expand(image).entries
-    conv = [(1, 0), (0, 1)]
-    for a in entries:
-        (p0, q0), (p1, q1) = conv[-2], conv[-1]
-        conv.append((a * p1 + p0, a * q1 + q0))
-    return m, entries, conv
+    return m, entries, [(1, 0), (0, 1), *_convergent_pairs(entries)]
 
 
-def _ladder_box(x: ExtendedRational, y: ExtendedRational) -> int:
+def _ladder_box(x: ExtendedRational, y: ExtendedRational, limit: int) -> int:
     """max(|p|, q) over the vertices of the ladder between x and y, and over
-    x alone when x = y; no ladder is built.
+    x alone when x = y; or, as soon as the running maximum passes limit,
+    that maximum.  No ladder is built, and the expansion is read only as
+    far as that.
 
     The ladder's vertices are c_{k-2} + j*c_{k-1}, 0 <= j <= a_k, mapped back
     linearly, so their |p| and q are convex in j and peak at a convergent:
@@ -370,44 +412,60 @@ def _ladder_box(x: ExtendedRational, y: ExtendedRational) -> int:
     the ladder, and so every geodesic.
     """
     bound = max(abs(x.p), x.q)
-    if x == y:
+    if x == y or bound > limit:
         return bound
-    m, _, conv = _frame(x, y)
+    m, image = normalize_pair(x, y)
     inv = m.inverse()
-    for p, q in conv[1:]:
+    for p, q in chain(((0, 1),), _convergent_pairs(_quotients(image.p, image.q))):
         bound = max(bound, abs(inv.a * p + inv.b * q), abs(inv.c * p + inv.d * q))
+        if bound > limit:
+            break
     return bound
+
+
+def _geodesic_counts(entries):
+    """(distance from 1/0 to c_k, number of geodesics realizing it) for
+    k = 1, ..., n, one at a time, from (0, 1) at c_{-1} and (1, 1) at c_0.
+    A skip past a_k = 2 through the pivot is the two steps already counted,
+    so only the mediant route adds to it.
+    """
+    d0, n0, d1, n1 = 0, 1, 1, 1
+    for a in entries:
+        d, n = d1 + 1, n1
+        if a <= 2:
+            skip = d0 + a
+            if skip < d:
+                d, n = skip, n0
+            elif skip == d:
+                n += n0
+        d0, n0, d1, n1 = d1, n1, d, n
+        yield d, n
 
 
 def _skeleton(x: ExtendedRational, y: ExtendedRational):
     """(m, entries, conv, dist, count) for distinct x, y: _frame's m, entries
     and conv, and dist[i], count[i], the distance from 1/0 to conv[i] and
-    the number of geodesics realizing it.  A skip past a_k = 2 through the
-    pivot is the two steps already counted, so only the mediant route adds
-    to it.
+    the number of geodesics realizing it.
     """
     m, entries, conv = _frame(x, y)
     dist = [0, 1]
     count = [1, 1]
-    for i, a in enumerate(entries, start=2):
-        d, c = dist[i - 1] + 1, count[i - 1]
-        if a <= 2:
-            skip = dist[i - 2] + a
-            if skip < d:
-                d, c = skip, count[i - 2]
-            elif skip == d:
-                c += count[i - 2]
+    for d, n in _geodesic_counts(entries):
         dist.append(d)
-        count.append(c)
+        count.append(n)
     return m, entries, conv, dist, count
 
 
 def _length_and_count(x: ExtendedRational, y: ExtendedRational) -> tuple[int, int]:
-    """Distance from x to y and the number of geodesics realizing it."""
+    """Distance from x to y and the number of geodesics realizing it, read
+    off the expansion one entry at a time; no convergent is built."""
     if x == y:
         return 0, 1
-    _, _, _, dist, count = _skeleton(x, y)
-    return dist[-1], count[-1]
+    _, image = normalize_pair(x, y)
+    d, n = 1, 1  # at c_0 = 0/1, which is the image when x, y are adjacent
+    for d, n in _geodesic_counts(_quotients(image.p, image.q)):
+        pass
+    return d, n
 
 
 def all_geodesics(
@@ -420,22 +478,33 @@ def all_geodesics(
 
     The cap is checked against the geodesic count before any path is
     built.  The paths are listed in sorted order as they are built, and
-    they share their vertex objects; time and memory are linear in the
-    output.  x = y yields the single empty path (one vertex, zero edges).
+    they share their vertex objects and the vertices' texts; time and
+    memory are linear in the output.  x = y yields the single empty path
+    (one vertex, zero edges).
     """
     cap_value = _resolve_cap(cap, GEO_CAP_ENV, DEFAULT_GEO_CAP)
     if x == y:
-        return _trusted(GeodesicSet, x, y, 0, (_trusted(FareyPath, (x,)),))
+        paths = (_trusted(FareyPath, (x,)),)
+        return _trusted(GeodesicSet, x, y, 0, paths, partial(_name_paths, paths))
     m, entries, conv, dist, count = _skeleton(x, y)
     if count[-1] > cap_value:
         raise EnumerationOverflow(
             f"{_int_text(count[-1])} geodesics for {x} -> {y}, cap is {_int_text(cap_value)}"
         )
-    # One backward pass lists the steps out of each skeleton node that lie
-    # on a geodesic, as (vertices the step adds, node it reaches), sorted by
-    # the first vertex each adds.  A node is on a geodesic when it has such
-    # a step, and only those nodes and their mediants are mapped back, once.
+    # Each vertex on a geodesic is named here, once, while that costs about
+    # what mapping it back does.  A vertex has at most one bit more than
+    # inv's largest entry and the target's convergent together; past
+    # _NAMED_BITS, str grows quadratic in the digits, and the texts are left
+    # to their first read.
     inv = m.inverse()
+    bits = max(map(abs, (inv.a, inv.b, inv.c, inv.d))).bit_length() + conv[-1][1].bit_length()
+    named = bits <= _NAMED_BITS
+
+    # One backward pass lists the steps out of each skeleton node that lie
+    # on a geodesic, as (vertices the step adds, their texts, node it
+    # reaches), sorted by the first vertex each adds.  A node is on a
+    # geodesic when it has such a step, and only those nodes and their
+    # mediants are mapped back and named, once.
     t = len(conv) - 1
     steps: list[list] = [[] for _ in conv]
     for j in range(t, 0, -1):
@@ -446,41 +515,54 @@ def all_geodesics(
             v = _map_coprime(inv, *conv[j])
         else:
             continue
+        said = (str(v),) if named else ()
         if dist[j - 1] + 1 == dist[j]:
-            steps[j - 1].append(((v,), j))
+            steps[j - 1].append(((v,), said, j))
         a = entries[j - 2] if j >= 2 else 0
         if a == 1 and dist[j - 2] + 1 == dist[j]:
-            steps[j - 2].append(((v,), j))
+            steps[j - 2].append(((v,), said, j))
         elif a == 2 and dist[j - 2] + 2 == dist[j]:
             (p0, q0), (p1, q1) = conv[j - 2], conv[j - 1]
-            steps[j - 2].append(((_map_coprime(inv, p0 + p1, q0 + q1), v), j))
+            w = _map_coprime(inv, p0 + p1, q0 + q1)
+            steps[j - 2].append(((w, v), (str(w), *said) if named else (), j))
     steps[0].sort(key=_first_vertex_key)
 
-    # Walk forward from x, one prefix in place: the steps out of a node add
-    # distinct vertices, so taking them in order lists the paths sorted.  A
-    # forced run is followed without branching, and each path is copied
-    # once, when it reaches the target.  A node has at most two steps, to
-    # the next node and the one after.
+    # Walk forward from x, one prefix in place and its texts beside it: the
+    # steps out of a node add distinct vertices, so taking them in order
+    # lists the paths sorted.  A forced run is followed without branching,
+    # and each path and its texts are copied once, when it reaches the
+    # target, so the paths share the strings.  A node has at most two
+    # steps, to the next node and the one after.  Forced steps are not
+    # merged into longer ones: on a long forced run, such as [3]*k, that
+    # would copy quadratically.
     paths = []
+    texts = []
     prefix = [x]
-    todo = [((), 0)]  # steps still to take
+    words = [str(x)] if named else []
+    todo = [((), (), 0)]  # steps still to take
     kept = [1]  # the length of the prefix each of them extends
     while todo:
-        head, i = todo.pop()
-        del prefix[kept.pop():]
+        head, said, i = todo.pop()
+        k = kept.pop()
+        del prefix[k:], words[k:]
         prefix += head
+        words += said
         while len(steps[i]) == 1:
-            (head, i), = steps[i]
+            (head, said, i), = steps[i]
             prefix += head
+            words += said
         if i == t:  # _trusted(FareyPath, ...) inlined, as it runs once a path
             path = object.__new__(FareyPath)
             _set(path, "vertices", tuple(prefix))
             paths.append(path)
+            texts.append(tuple(words))
         else:
             first, second = steps[i]
             todo += second, first
             kept += len(prefix), len(prefix)
-    return _trusted(GeodesicSet, x, y, dist[-1], tuple(paths))
+    paths = tuple(paths)
+    texts = tuple(texts) if named else partial(_name_paths, paths)
+    return _trusted(GeodesicSet, x, y, dist[-1], paths, texts)
 
 
 def is_unique_geodesic(x: ExtendedRational, y: ExtendedRational) -> bool:

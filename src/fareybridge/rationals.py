@@ -96,14 +96,17 @@ class _Frozen:
 
     A subclass lists its fields in __slots__, in constructor order, and sets
     them in its own __init__ with object.__setattr__.  == and hash read the
-    fields named in _compared, all of them by default.
+    fields named in _compared, all of them by default.  A slot whose name
+    starts with "_" holds data derived from the fields, which the
+    constructor rebuilds: it is no field, so ==, hash, repr, pickle and copy
+    leave it out.
     """
 
     __slots__ = ()
     _compared: tuple[str, ...] | None = None
 
     def __init_subclass__(cls):
-        fields = cls.__slots__
+        fields = tuple(name for name in cls.__slots__ if not name.startswith("_"))
         cls.__match_args__ = fields
         cls._values = staticmethod(_getter(fields))
         cls._key = staticmethod(_getter(cls._compared or fields))
@@ -123,7 +126,7 @@ class _Frozen:
         return hash(self._key(self))
 
     def __repr__(self) -> str:
-        fields = ", ".join(f"{n}={v!r}" for n, v in zip(self.__slots__, self._values(self)))
+        fields = ", ".join(f"{n}={v!r}" for n, v in zip(self.__match_args__, self._values(self)))
         return f"{self.__class__.__qualname__}({fields})"
 
     def __reduce__(self):
@@ -132,8 +135,9 @@ class _Frozen:
 
 def _trusted(cls, *values):
     """An instance of a value type built without its __init__, so without
-    validation, from its fields in __slots__ order.  For values the library
-    built from checked values, which hold the type's invariants already."""
+    validation, from its slots' values in __slots__ order, derived ones
+    included.  For values the library built from checked values, which hold
+    the type's invariants already."""
     obj = object.__new__(cls)
     for name, value in zip(cls.__slots__, values):
         _set(obj, name, value)
@@ -301,13 +305,16 @@ def cf_expand(x: ExtendedRational) -> ContinuedFraction:
     """
     if x.is_infinity or x.p < 0 or x.p >= x.q:
         raise DomainError(f"cf_expand requires 0 <= p/q < 1, got {x}")
-    entries = []
-    p, q = x.p, x.q
+    return _trusted(ContinuedFraction, tuple(_quotients(x.p, x.q)))
+
+
+def _quotients(p: int, q: int):
+    """The entries of p/q = [a1, ..., an], 0 <= p < q, one at a time: the
+    quotients of positive-remainder Euclid on (q, p)."""
     while p:
         a, r = divmod(q, p)
-        entries.append(a)
+        yield a
         p, q = r, p
-    return _trusted(ContinuedFraction, tuple(entries))
 
 
 def cf_eval(entries: ContinuedFraction | Sequence[int]) -> ExtendedRational:
@@ -338,12 +345,16 @@ def convergents(entries: ContinuedFraction | Sequence[int]) -> tuple[ExtendedRat
     ['1/2', '3/7', '10/23', '23/53', '79/182']
     """
     es = entries.entries if isinstance(entries, ContinuedFraction) else _checked_entries(entries)
-    out = []
-    h0, k0, h1, k1 = 1, 0, 0, 1  # h/k pairs for c_{-1} = 1/0 and c_0 = 0/1
-    for a in es:
+    return tuple(_trusted(ExtendedRational, p, q) for p, q in _convergent_pairs(es))
+
+
+def _convergent_pairs(entries):
+    """The convergents c_1, ..., c_n of [a1, ..., an] as integer pairs, one
+    at a time: c_k = a_k c_{k-1} + c_{k-2} from c_{-1} = 1/0, c_0 = 0/1."""
+    h0, k0, h1, k1 = 1, 0, 0, 1
+    for a in entries:
         h0, k0, h1, k1 = h1, k1, a * h1 + h0, a * k1 + k0
-        out.append(_trusted(ExtendedRational, h1, k1))
-    return tuple(out)
+        yield h1, k1
 
 
 class MobiusMap(_Frozen):

@@ -1,5 +1,9 @@
 from __future__ import annotations
 
+import math
+import random
+import time
+
 import pytest
 
 from fareybridge.bridge import (
@@ -204,3 +208,48 @@ def test_classify_02_without_geodesics_needs_no_enumeration():
     assert rep.distance == splitting_distance_02(link)
     assert rep.keen and not rep.strongly_keen and rep.geodesics is None
     assert not is_strongly_keen_02(link)
+
+
+# ---------------------------------------------------------------- Schubert symmetry
+
+def _schubert_links(q: int, p: int) -> list[TwoBridgeLink]:
+    """S(q, p) and the links Schubert's classification makes the same
+    splitting up to mirror image: p replaced by its inverse mod q, by
+    q - p, and by q minus that inverse."""
+    inverse = pow(p, -1, q)
+    return [TwoBridgeLink(q, r) for r in (p, inverse, q - p, q - inverse)]
+
+
+def _report_fields(link: TwoBridgeLink, **kwargs) -> tuple:
+    """Every field of the (0,2) report but subject and geodesics."""
+    r = classify_02(link, **kwargs)
+    return (r.splitting, r.distance, r.case, r.keen, r.strongly_keen, r.exact, r.note)
+
+
+def test_schubert_equivalent_links_get_the_same_report():
+    start = time.perf_counter()
+    rng = random.Random(6)
+    pairs = [(q, p) for q in range(1, 60) for p in range(q + 1) if math.gcd(p, q) == 1]
+    while len(pairs) < 1400:
+        q = rng.randrange(60, 400)
+        p = rng.randrange(q)
+        if math.gcd(p, q) == 1:
+            pairs.append((q, p))
+    for q, p in pairs:
+        links = _schubert_links(q, p)
+        want = _report_fields(links[0])
+        for link in links[1:]:
+            assert _report_fields(link) == want, (links[0], link)
+    # near 10**30 the geodesic count can pass the enumeration cap, so the
+    # report is read off the count alone
+    found = 0
+    while found < 8:
+        q = 10**30 + rng.randrange(10**6)
+        p = rng.randrange(q)
+        if math.gcd(p, q) == 1:
+            found += 1
+            links = _schubert_links(q, p)
+            want = _report_fields(links[0], include_geodesics=False)
+            for link in links[1:]:
+                assert _report_fields(link, include_geodesics=False) == want, (links[0], link)
+    assert time.perf_counter() - start < 2

@@ -8,6 +8,7 @@ import random
 import subprocess
 import sys
 import time
+import tracemalloc
 
 import pytest
 
@@ -195,9 +196,37 @@ def test_geodesic_set_jsonable_roundtrip():
 
 def test_geodesic_set_formats_each_distinct_vertex_once(monkeypatch):
     m = MobiusMap(123, 47, 34, 13)
-    gs = farey.all_geodesics(m.apply(INFINITY), m.apply(cf_eval([5] + [2] * 8 + [7])))
+    x, y = m.apply(INFINITY), m.apply(cf_eval([5] + [2] * 8 + [7]))
+    calls = 0
+    real_str = ExtendedRational.__str__
+
+    def counting_str(self):
+        nonlocal calls
+        calls += 1
+        return real_str(self)
+
+    # counted from the walk through the output: the walk names each vertex
+    monkeypatch.setattr(ExtendedRational, "__str__", counting_str)
+    gs = farey.all_geodesics(x, y)
+    doc = geodesic_set_to_jsonable(gs)
+    monkeypatch.undo()
     distinct = {v for p in gs.paths for v in p.vertices}
     assert len(gs.paths) == 55 and len(distinct) == 20
+    assert calls == len(distinct) + 2  # and once each for "x" and "y"
+    # the paths share their texts, one string per distinct vertex
+    assert len({id(s) for t in gs._texts for s in t}) == len(distinct)
+    # read back, no two paths share a vertex object, and the output is the same
+    back = geodesic_set_from_jsonable(doc)
+    assert len({id(v) for p in back.paths for v in p.vertices}) == sum(
+        len(p.vertices) for p in back.paths
+    )
+    assert geodesic_set_to_jsonable(back) == doc
+
+
+def test_geodesic_sets_past_the_named_bits_are_formatted_on_first_read(monkeypatch):
+    # the target has more bits than all_geodesics names as it walks
+    y = cf_eval([3] * 300 + [2] * 4 + [5])
+    assert y.q.bit_length() > farey._NAMED_BITS
     calls = 0
     real_str = ExtendedRational.__str__
 
@@ -207,14 +236,31 @@ def test_geodesic_set_formats_each_distinct_vertex_once(monkeypatch):
         return real_str(self)
 
     monkeypatch.setattr(ExtendedRational, "__str__", counting_str)
+    gs = farey.all_geodesics(INFINITY, y)
+    assert calls == 0
     doc = geodesic_set_to_jsonable(gs)
-    assert calls == len(distinct) + 2  # and once each for "x" and "y"
-    # read back, no two paths share a vertex object, and the output is the same
-    back = geodesic_set_from_jsonable(doc)
-    assert len({id(v) for p in back.paths for v in p.vertices}) == sum(
-        len(p.vertices) for p in back.paths
-    )
-    assert geodesic_set_to_jsonable(back) == doc
+    monkeypatch.undo()
+    distinct = {v for p in gs.paths for v in p.vertices}
+    assert len(gs.paths) == 8 and calls == len(distinct) + 2
+    assert len({id(s) for t in gs._texts for s in t}) == len(distinct)
+    assert doc["geodesics"] == [[str(v) for v in p.vertices] for p in gs.paths]
+
+
+@pytest.mark.parametrize("x, y", [
+    ("1/0", "1/0"), ("1/0", "1/2"), ("1/0", "79/182"), ("1/3", "3/4"), ("-3/7", "5/11"),
+    ("1/0", str(cf_eval([3] + [2] * 6 + [4]))),
+])
+def test_every_geodesic_set_serializes_to_the_same_rows(x, y):
+    x, y = sl(x), sl(y)
+    walked = farey.all_geodesics(x, y)
+    built = farey.GeodesicSet(x, y, walked.length, walked.paths)
+    doc = geodesic_set_to_jsonable(walked)
+    read = geodesic_set_from_jsonable(json.loads(json.dumps(doc)))
+    checked = oracle.bruteforce_geodesics(x, y, cli._oracle_bound(x, y))
+    rows = [[str(v) for v in p.vertices] for p in walked.paths]
+    assert doc["geodesics"] == rows
+    for gs in (built, read, checked):
+        assert gs == walked and geodesic_set_to_jsonable(gs) == doc
 
 
 # ---------------------------------------------------------------- oracle flag
@@ -307,6 +353,8 @@ _MALFORMED = [(kind, *case) for kind in _READERS for case in _EITHER] + [
     ("report", "string keen", _with(keen="yes")),
     ("report", "int strongly_keen", _with(strongly_keen=1)),
     ("report", "int splitting", _with(splitting=5)),
+    ("report", "splitting 07", _with(splitting="07")),
+    ("report", "case zz", _with(case="zz")),
     ("report", "null exact", _with(exact=None)),
     ("report", "null subject", _with(subject=None)),
 ]
@@ -594,5 +642,22 @@ def test_oracle_box_over_the_budget_exits_2_before_any_bfs(monkeypatch):
         code, out, err = invoke("--oracle", *argv)
         assert time.perf_counter() - start < 1, argv
         assert (code, out) == (2, ""), argv
-        assert err.startswith("resource limit: oracle check would need bound "), err
+        assert err.startswith("resource limit: oracle check would need bound at least "), err
     assert cli._oracle_bound(INFINITY, sl("1/8192")) == oracle.DEFAULT_ORACLE_BUDGET
+
+
+def test_oracle_box_stops_at_the_budget():
+    # the whole box of [3]*30000 would read 30000 convergents of up to
+    # 15,000 digits each
+    y = cf_eval([3] * 30000)
+    budget = oracle.DEFAULT_ORACLE_BUDGET
+    tracemalloc.start()
+    try:
+        bound = farey._ladder_box(INFINITY, y, budget)
+        with pytest.raises(OracleBudget, match=rf"would need bound at least {bound} > budget"):
+            cli._oracle_bound(INFINITY, y)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert bound > budget
+    assert peak <= 4 * 2**20, peak

@@ -225,6 +225,17 @@ def test_geo_cap_from_environment_past_the_int_str_digit_limit(monkeypatch):
             farey._resolve_cap(None, env, 1)
 
 
+@pytest.mark.parametrize("call, kind", [
+    (lambda: all_geodesics(INFINITY, sl("1/2"), cap=0.5), "float"),
+    (lambda: ladder(INFINITY, sl("19/42"), vertex_cap="5"), "str"),
+    (lambda: ladder(INFINITY, sl("19/42"), vertex_cap=True), "bool"),
+    (lambda: distance(INFINITY, sl("19/42"), vertex_cap=True), "bool"),
+], ids=["cap=0.5", "vertex_cap='5'", "vertex_cap=True", "distance vertex_cap=True"])
+def test_caps_must_be_exact_ints(call, kind):
+    with pytest.raises(DomainError, match=f"^cap must be an int, got {kind}$"):
+        call()
+
+
 def test_is_unique_geodesic():
     assert is_unique_geodesic(INFINITY, sl("3/10"))  # all entries >= 3
     assert is_unique_geodesic(INFINITY, sl("2/3"))  # unique without the shortcut
@@ -437,6 +448,17 @@ def test_long_expansion_enumerates_in_linear_time():
         (p0, q0), (p1, q1) = spine[-2:]
         spine.append((3 * p1 + p0, 3 * q1 + q0))
     assert gs.unique and [(v.p, v.q) for v in gs.paths[0]] == spine
+
+
+def test_geodesic_count_reads_no_convergent():
+    y = cf_eval([3] * 30000)  # 30000 convergents of up to 15,000 digits
+    tracemalloc.start()
+    try:
+        assert farey._length_and_count(INFINITY, y) == (30001, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * 2**20, peak
 
 
 def test_enumeration_validates_no_vertex(monkeypatch):
