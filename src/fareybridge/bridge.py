@@ -166,9 +166,9 @@ class SplittingReport(_Frozen):
 def splitting_distance_02(link: TwoBridgeLink) -> int:
     """Distance of the (0,2)-splitting: Farey distance from 1/0 to p/q.
 
-    S(1, 0) gives the unknot's value 1; S(0, 1) gives 0.
+    S(1, 0) gives the unknot's value 1; S(0, 1) gives 0.  No ladder is built.
     """
-    return farey.distance(INFINITY, link.slope)
+    return farey._length_and_count(INFINITY, link.slope)[0]
 
 
 def is_keen_02(link: TwoBridgeLink) -> bool:

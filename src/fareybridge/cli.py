@@ -10,8 +10,9 @@ from __future__ import annotations
 import argparse
 import sys
 
-# json and oracle are imported inside the functions that use them: at module
-# level they would add to the start of every command that needs neither.
+# json and oracle are imported inside the functions that use them (oracle in
+# _oracle only): at module level they would add to the start of every command
+# that needs neither.
 from . import bridge, farey, render
 from .errors import (
     DomainError,
@@ -22,6 +23,7 @@ from .errors import (
 )
 from .farey import FareyPath, GeodesicSet
 from .rationals import (
+    INFINITY,
     ExtendedRational,
     _int_text,
     _parse_int,
@@ -249,13 +251,17 @@ def _build_parser() -> _Parser:
 
 # ---------------------------------------------------------------- oracle check
 
+def _oracle():
+    from . import oracle
+
+    return oracle
+
+
 def _oracle_bound(x: ExtendedRational, y: ExtendedRational) -> int:
     """The oracle's box, farey._ladder_box(x, y), which holds every geodesic.
     Over the oracle budget: OracleBudget, as soon as the box passes it, and
     no BFS."""
-    from . import oracle
-
-    budget = oracle.DEFAULT_ORACLE_BUDGET
+    budget = _oracle().DEFAULT_ORACLE_BUDGET
     bound = farey._ladder_box(x, y, budget)
     if bound > budget:
         raise OracleBudget(
@@ -264,29 +270,25 @@ def _oracle_bound(x: ExtendedRational, y: ExtendedRational) -> int:
     return bound
 
 
-def _oracle_check_distance(x, y, got: int) -> None:
-    from . import oracle
-
-    want = oracle.bounded_distance(x, y, _oracle_bound(x, y))
-    if want != got:
+def _oracle_check(x, y, bound: int, payload: dict) -> None:
+    """FareyBridgeError unless the oracle, in the box, finds the payload's
+    distance and, when it lists geodesics, the same rows in the same order."""
+    oracle = _oracle()
+    got = payload["distance"]
+    if "geodesics" not in payload:
+        want = oracle.bounded_distance(x, y, bound)
+        if want != got:
+            raise FareyBridgeError(
+                f"oracle disagrees on distance({x}, {y}): oracle {want}, computed {got}"
+            )
+        return
+    want = oracle.bruteforce_geodesics(x, y, bound)
+    rows, theirs = payload["geodesics"], [list(t) for t in want._texts]
+    if want.length != got or rows != theirs:
         raise FareyBridgeError(
-            f"oracle disagrees on distance({x}, {y}): oracle {want}, ladder {got}"
-        )
-
-
-def _oracle_check_geodesics(gs: GeodesicSet) -> None:
-    from . import oracle
-
-    want = oracle.bruteforce_geodesics(
-        gs.source, gs.target, _oracle_bound(gs.source, gs.target)
-    )
-    ours = {tuple(p.vertices) for p in gs.paths}
-    theirs = {tuple(p.vertices) for p in want.paths}
-    if ours != theirs or want.length != gs.length:
-        raise FareyBridgeError(
-            f"oracle disagrees on geodesics({gs.source}, {gs.target}): "
-            f"oracle {len(theirs)} paths of length {want.length}, "
-            f"computed {len(ours)} of length {gs.length}"
+            f"oracle disagrees on geodesics({x}, {y}): oracle {len(theirs)} paths of "
+            f"length {want.length}, computed {len(rows)} of length {got}"
+            + (", in other rows" if (len(rows), got) == (len(theirs), want.length) else "")
         )
 
 
@@ -305,16 +307,11 @@ def _eval(args) -> dict:
 
 def _distance(args) -> dict:
     d = farey.distance(args.x, args.y, vertex_cap=args.ladder_cap)
-    if args.oracle:
-        _oracle_check_distance(args.x, args.y, d)
     return {"x": str(args.x), "y": str(args.y), "distance": d}
 
 
 def _geodesics(args) -> dict:
-    gs = farey.all_geodesics(args.x, args.y, cap=args.geo_cap)
-    if args.oracle:
-        _oracle_check_geodesics(gs)
-    return geodesic_set_to_jsonable(gs)
+    return geodesic_set_to_jsonable(farey.all_geodesics(args.x, args.y, cap=args.geo_cap))
 
 
 def _ladder(args) -> dict | str:
@@ -339,13 +336,10 @@ def _ladder(args) -> dict | str:
 
 def _classify_2bridge(args) -> dict:
     link = bridge.TwoBridgeLink(args.q, args.p)
-    rep = bridge.classify_02(link, cap=args.geo_cap)
-    if args.oracle:
-        _oracle_check_geodesics(rep.geodesics)
     return {
         "slope": str(link.slope),
         "components": bridge.components(link),
-        **report_to_jsonable(rep),
+        **report_to_jsonable(bridge.classify_02(link, cap=args.geo_cap)),
     }
 
 
@@ -411,17 +405,23 @@ def _report_text(r: dict) -> list[str]:
     return lines + [" -> ".join(p) for p in r.get("geodesics", ())]
 
 
+# command: (handler, text renderer, the pair of slopes --oracle checks, or None)
 _COMMANDS = {
-    "cf": (_cf, lambda r: ["[" + ",".join(map(_int_text, r["cf"])) + "]"]),
-    "eval": (_eval, lambda r: [r["slope"]]),
-    "distance": (_distance, lambda r: [str(r["distance"])]),
-    "geodesics": (_geodesics, _geodesics_text),
-    "ladder": (_ladder, _ladder_text),
-    "classify-2bridge": (_classify_2bridge, _report_text),
-    "classify-03": (_classify_03, _report_text),
+    "cf": (_cf, lambda r: ["[" + ",".join(map(_int_text, r["cf"])) + "]"], None),
+    "eval": (_eval, lambda r: [r["slope"]], None),
+    "distance": (_distance, lambda r: [str(r["distance"])], lambda a: (a.x, a.y)),
+    "geodesics": (_geodesics, _geodesics_text, lambda a: (a.x, a.y)),
+    "ladder": (_ladder, _ladder_text, None),
+    "classify-2bridge": (
+        _classify_2bridge,
+        _report_text,
+        lambda a: (INFINITY, bridge.TwoBridgeLink(a.q, a.p).slope),
+    ),
+    "classify-03": (_classify_03, _report_text, None),
     "gen-keen": (
         _gen_keen,
         lambda r: [f"{r['link']}  slope {r['slope']}  distance {r['n']}  strongly keen"],
+        None,
     ),
 }
 
@@ -439,9 +439,14 @@ def run(argv: list[str], out=None, err=None) -> int:
     except SystemExit as e:  # --help and friends
         return int(e.code or 0)
 
-    handler, text = _COMMANDS[args.command]
+    handler, text, pair = _COMMANDS[args.command]
     try:
+        # The box is sized before any work; the check reads what is printed.
+        box = pair(args) if args.oracle and pair else None
+        bound = _oracle_bound(*box) if box else None
         result = handler(args)
+        if box:
+            _oracle_check(*box, bound, result)
     except ResourceLimit as e:
         print(f"resource limit: {e}", file=err)
         return 2

@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import os
 from collections import deque
-from functools import partial
 from itertools import chain
 
 from .errors import (
@@ -233,8 +232,7 @@ class GeodesicSet(_Frozen):
 
     _texts holds each path's vertices as text, path by path: each
     distinct vertex object is formatted once, and the paths share the
-    strings.  _named holds them, or the function that makes them on first
-    read.
+    strings.  _named holds them, or None until they are first read.
     """
 
     __slots__ = ("source", "target", "length", "paths", "_named")
@@ -257,15 +255,13 @@ class GeodesicSet(_Frozen):
                 raise DomainError("path length disagrees with the set")
         if len(set(paths)) != len(paths):
             raise DomainError("duplicate geodesic")
-        _set(self, "_named", partial(_name_paths, paths))
+        _set(self, "_named", None)
 
     @property
     def _texts(self) -> tuple[tuple[str, ...], ...]:
-        named = self._named
-        if callable(named):
-            named = named()
-            _set(self, "_named", named)
-        return named
+        if self._named is None:
+            _set(self, "_named", _name_paths(self.paths))
+        return self._named
 
     @property
     def unique(self) -> bool:
@@ -295,15 +291,15 @@ def ladder(
 ) -> Ladder:
     """The triangle strip between non-adjacent x and y.
 
-    Raises EmptyLadder for x = y, DegenerateLadder for adjacent endpoints,
-    LadderTooLarge when the strip would exceed the vertex cap
-    (FAREY_LADDER_CAP, default 10**6 vertices).
+    Raises DomainError for a bad vertex cap, then EmptyLadder for x = y,
+    DegenerateLadder for adjacent endpoints, LadderTooLarge when the strip
+    would exceed the vertex cap (FAREY_LADDER_CAP, default 10**6 vertices).
     """
+    cap = _resolve_cap(vertex_cap, LADDER_CAP_ENV, DEFAULT_LADDER_CAP)
     if x == y:
         raise EmptyLadder(f"no ladder between equal slopes {x}")
     if is_adjacent(x, y):
         raise DegenerateLadder(f"{x} and {y} are adjacent; the ladder is empty")
-    cap = _resolve_cap(vertex_cap, LADDER_CAP_ENV, DEFAULT_LADDER_CAP)
 
     m, entries, conv = _frame(x, y)
     # m(y) = 0/1 would mean adjacency, excluded above; so entries is not empty.
@@ -368,14 +364,15 @@ def distance(
 ) -> int:
     """Graph distance in the Farey graph.
 
-    0 and 1 are answered directly; otherwise BFS inside the ladder, whose
-    internal shortest paths realize the true distance.
+    The vertex cap is checked first; then 0 and 1 are answered directly,
+    else BFS inside the ladder, whose shortest paths realize the distance.
     """
+    cap = _resolve_cap(vertex_cap, LADDER_CAP_ENV, DEFAULT_LADDER_CAP)
     if x == y:
         return 0
     if is_adjacent(x, y):
         return 1
-    l = ladder(x, y, vertex_cap=vertex_cap)
+    l = ladder(x, y, vertex_cap=cap)
     adj = _adjacency(l)
     dist = {x: 0}
     queue = deque((x,))
@@ -484,8 +481,7 @@ def all_geodesics(
     """
     cap_value = _resolve_cap(cap, GEO_CAP_ENV, DEFAULT_GEO_CAP)
     if x == y:
-        paths = (_trusted(FareyPath, (x,)),)
-        return _trusted(GeodesicSet, x, y, 0, paths, partial(_name_paths, paths))
+        return _trusted(GeodesicSet, x, y, 0, (_trusted(FareyPath, (x,)),), None)
     m, entries, conv, dist, count = _skeleton(x, y)
     if count[-1] > cap_value:
         raise EnumerationOverflow(
@@ -560,9 +556,7 @@ def all_geodesics(
             first, second = steps[i]
             todo += second, first
             kept += len(prefix), len(prefix)
-    paths = tuple(paths)
-    texts = tuple(texts) if named else partial(_name_paths, paths)
-    return _trusted(GeodesicSet, x, y, dist[-1], paths, texts)
+    return _trusted(GeodesicSet, x, y, dist[-1], tuple(paths), tuple(texts) if named else None)
 
 
 def is_unique_geodesic(x: ExtendedRational, y: ExtendedRational) -> bool:

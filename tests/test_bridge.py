@@ -70,6 +70,8 @@ def test_splitting_distance_02_values():
     assert splitting_distance_02(TwoBridgeLink(10, 3)) == 3
     assert splitting_distance_02(TwoBridgeLink(42, 19)) == 4
     assert splitting_distance_02(TwoBridgeLink(182, 79)) == 6
+    # read off the expansion: the ladder would need 10**7 + 3 vertices
+    assert splitting_distance_02(TwoBridgeLink(10**7 + 1, 1)) == 2
 
 
 def test_keenness_02():

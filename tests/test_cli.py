@@ -646,6 +646,58 @@ def test_oracle_box_over_the_budget_exits_2_before_any_bfs(monkeypatch):
     assert cli._oracle_bound(INFINITY, sl("1/8192")) == oracle.DEFAULT_ORACLE_BUDGET
 
 
+BRANCHY = "225058681/543339720"  # [2]*23: 75,025 geodesics, an oracle box of 13860
+OVER_BUDGET = "resource limit: oracle check would need bound at least 13860 > budget 8192\n"
+
+
+def test_oracle_budget_is_refused_before_the_command_runs(monkeypatch):
+    def ran(*args, **kwargs):
+        raise AssertionError("the command ran")
+
+    monkeypatch.setattr(farey, "all_geodesics", ran)
+    monkeypatch.setattr(bridge, "classify_02", ran)
+    for argv in (("geodesics", "1/0", BRANCHY), ("classify-2bridge", "543339720", "225058681")):
+        for flags in (("--oracle",), ("--oracle", "--json")):
+            assert invoke(*flags, *argv) == (2, "", OVER_BUDGET), argv
+
+
+def test_oracle_budget_comes_after_the_link_and_before_the_caps():
+    long = cf_eval([3] * 12)  # a ladder of 38 vertices, an oracle box past the budget
+    assert invoke("--oracle", "--geo-cap", "10", "geodesics", "1/0", BRANCHY) == (
+        2, "", OVER_BUDGET
+    )
+    code, out, err = invoke("--oracle", "--ladder-cap", "3", "distance", "1/0", str(long))
+    assert (code, out) == (2, "")
+    assert err.startswith("resource limit: oracle check would need bound at least "), err
+    assert invoke("--oracle", "classify-2bridge", "4", "2") == (
+        1, "", "error: p, q must be coprime, got S(4, 2)\n"
+    )
+
+
+def test_oracle_checks_what_is_printed(monkeypatch):
+    real = cli.geodesic_set_to_jsonable
+
+    def reversed_rows(gs):
+        doc = real(gs)
+        return dict(doc, geodesics=doc["geodesics"][::-1])
+
+    monkeypatch.setattr(cli, "geodesic_set_to_jsonable", reversed_rows)
+    for argv in (("geodesics", "1/0", "1/2"), ("classify-2bridge", "182", "79")):
+        for flags in (("--oracle",), ("--oracle", "--json")):
+            code, out, err = invoke(*flags, *argv)
+            assert (code, out) == (1, ""), argv
+            assert err.startswith("error: oracle disagrees on geodesics("), err
+    monkeypatch.setattr(oracle, "bounded_distance", lambda x, y, bound: 99)
+    assert invoke("--oracle", "distance", "1/0", "19/42") == (
+        1, "", "error: oracle disagrees on distance(1/0, 19/42): oracle 99, computed 4\n"
+    )
+
+
+def test_ladder_cap_is_checked_when_distance_answers_directly():
+    for argv in (("distance", "1/0", "0/1"), ("distance", "1/0", "1/0")):
+        assert invoke("--ladder-cap", "0", *argv) == (1, "", "error: cap must be positive, got 0\n")
+
+
 def test_oracle_box_stops_at_the_budget():
     # the whole box of [3]*30000 would read 30000 convergents of up to
     # 15,000 digits each

@@ -230,7 +230,13 @@ def test_geo_cap_from_environment_past_the_int_str_digit_limit(monkeypatch):
     (lambda: ladder(INFINITY, sl("19/42"), vertex_cap="5"), "str"),
     (lambda: ladder(INFINITY, sl("19/42"), vertex_cap=True), "bool"),
     (lambda: distance(INFINITY, sl("19/42"), vertex_cap=True), "bool"),
-], ids=["cap=0.5", "vertex_cap='5'", "vertex_cap=True", "distance vertex_cap=True"])
+    # checked before the answers that need no ladder
+    (lambda: distance(INFINITY, ZERO, vertex_cap="5"), "str"),
+    (lambda: distance(INFINITY, INFINITY, vertex_cap=0.5), "float"),
+    (lambda: ladder(INFINITY, ZERO, vertex_cap="5"), "str"),
+], ids=["cap=0.5", "vertex_cap='5'", "vertex_cap=True", "distance vertex_cap=True",
+        "adjacent distance vertex_cap='5'", "equal distance vertex_cap=0.5",
+        "adjacent ladder vertex_cap='5'"])
 def test_caps_must_be_exact_ints(call, kind):
     with pytest.raises(DomainError, match=f"^cap must be an int, got {kind}$"):
         call()
