@@ -22,6 +22,7 @@ from .rationals import (
     INFINITY,
     ContinuedFraction,
     ExtendedRational,
+    _check_ints,
     _checked_entries,
     _Frozen,
     _int_text,
@@ -74,6 +75,7 @@ class TwoBridgeLink(_Frozen):
     def __init__(self, q: int, p: int):
         _set(self, "q", q)
         _set(self, "p", p)
+        _check_ints("each of q, p", q, p)
         if q < 0:
             raise DomainError(f"q must be non-negative, got {_int_text(q)}")
         if q == 0:
@@ -236,6 +238,7 @@ def make_strongly_keen_example(
     Default entries are all 3s: n = 2 gives S(3,1), n = 3 gives S(10,3).
     Raises ResourceLimit when n - 1 default entries do not fit in memory.
     """
+    _check_ints("n", n)
     if n < 2:
         raise DomainError(f"need n >= 2, got {_int_text(n)}")
     if entries is None:

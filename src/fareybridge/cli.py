@@ -8,6 +8,7 @@ key order and separators, so identical inputs give byte-identical output.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 # json and oracle are imported inside the functions that use them (oracle in
@@ -270,9 +271,9 @@ def _oracle_bound(x: ExtendedRational, y: ExtendedRational) -> int:
     return bound
 
 
-def _oracle_check(x, y, bound: int, payload: dict) -> None:
-    """FareyBridgeError unless the oracle, in the box, finds the payload's
-    distance and, when it lists geodesics, the same rows in the same order."""
+def _oracle_check(x, y, bound: int, payload: dict, geo_cap: int | None) -> None:
+    """FareyBridgeError unless the oracle, in the box and under geo_cap, finds
+    the payload's distance and, when it lists geodesics, the same rows in order."""
     oracle = _oracle()
     got = payload["distance"]
     if "geodesics" not in payload:
@@ -282,7 +283,7 @@ def _oracle_check(x, y, bound: int, payload: dict) -> None:
                 f"oracle disagrees on distance({x}, {y}): oracle {want}, computed {got}"
             )
         return
-    want = oracle.bruteforce_geodesics(x, y, bound)
+    want = oracle.bruteforce_geodesics(x, y, bound, cap=geo_cap)
     rows, theirs = payload["geodesics"], [list(t) for t in want._texts]
     if want.length != got or rows != theirs:
         raise FareyBridgeError(
@@ -446,7 +447,7 @@ def run(argv: list[str], out=None, err=None) -> int:
         bound = _oracle_bound(*box) if box else None
         result = handler(args)
         if box:
-            _oracle_check(*box, bound, result)
+            _oracle_check(*box, bound, result, args.geo_cap)
     except ResourceLimit as e:
         print(f"resource limit: {e}", file=err)
         return 2
@@ -463,4 +464,10 @@ def run(argv: list[str], out=None, err=None) -> int:
 
 
 def main() -> None:
-    sys.exit(run(sys.argv[1:]))
+    try:
+        code = run(sys.argv[1:])
+        sys.stdout.flush()
+    except BrokenPipeError:  # the reader left: exit 1, and quiet the flush at exit
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    sys.exit(code)

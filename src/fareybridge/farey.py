@@ -26,14 +26,13 @@ nothing is formatted for a set that is never output.
 Ladders lay down n fans of triangles, fan i with a_i triangles around its
 pivot c_{i-1}; its rim walks the intermediate mediants from the previous
 pivot to the next, so the L/R run lengths are (a1, ..., an), first run L.
-Every geodesic lies in the ladder, and distance is found by BFS inside it.
+Every geodesic lies in the ladder; distance builds one only for its cap.
 The values built here are built unchecked (rationals._trusted).
 """
 
 from __future__ import annotations
 
 import os
-from collections import deque
 from itertools import chain
 
 from .errors import (
@@ -46,6 +45,7 @@ from .errors import (
 )
 from .rationals import (
     ExtendedRational,
+    _check_ints,
     _convergent_pairs,
     _Frozen,
     _int_text,
@@ -88,8 +88,7 @@ _NAMED_BITS = 512
 
 def _resolve_cap(explicit: int | None, env_name: str, default: int) -> int:
     if explicit is not None:
-        if type(explicit) is not int:
-            raise DomainError(f"cap must be an int, got {type(explicit).__name__}")
+        _check_ints("cap", explicit)
         if explicit < 1:
             raise DomainError(f"cap must be positive, got {_int_text(explicit)}")
         return explicit
@@ -348,14 +347,6 @@ def spine(l: Ladder) -> FareyPath:
     return _trusted(FareyPath, (l.x,) + l.pivots + (l.y,))
 
 
-def _adjacency(l: Ladder) -> dict[ExtendedRational, list[ExtendedRational]]:
-    adj: dict[ExtendedRational, list[ExtendedRational]] = {}
-    for a, b in l.edges():
-        adj.setdefault(a, []).append(b)
-        adj.setdefault(b, []).append(a)
-    return adj
-
-
 def distance(
     x: ExtendedRational,
     y: ExtendedRational,
@@ -365,27 +356,14 @@ def distance(
     """Graph distance in the Farey graph.
 
     The vertex cap is checked first; then 0 and 1 are answered directly,
-    else BFS inside the ladder, whose shortest paths realize the distance.
+    else it is read off the runs of the ladder, built only for its cap.
     """
     cap = _resolve_cap(vertex_cap, LADDER_CAP_ENV, DEFAULT_LADDER_CAP)
     if x == y:
         return 0
     if is_adjacent(x, y):
         return 1
-    l = ladder(x, y, vertex_cap=cap)
-    adj = _adjacency(l)
-    dist = {x: 0}
-    queue = deque((x,))
-    while queue:
-        u = queue.popleft()
-        if u == y:
-            return dist[u]
-        nd = dist[u] + 1
-        for v in adj[u]:
-            if v not in dist:
-                dist[v] = nd
-                queue.append(v)
-    raise DomainError(f"ladder disconnected between {x} and {y}; invariant broken")
+    return list(_geodesic_counts(ladder(x, y, vertex_cap=cap).runs))[-1][0]
 
 
 def _frame(x: ExtendedRational, y: ExtendedRational):

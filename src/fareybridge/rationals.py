@@ -144,6 +144,13 @@ def _trusted(cls, *values):
     return obj
 
 
+def _check_ints(what: str, *values) -> None:
+    """DomainError unless every value is an exact int, so not a bool."""
+    for v in values:
+        if type(v) is not int:
+            raise DomainError(f"{what} must be an int, got {type(v).__name__}")
+
+
 def _checked_entries(entries) -> tuple[int, ...]:
     """entries as a tuple, or DomainError unless each one is an int >= 1."""
     es = tuple(entries)
@@ -168,6 +175,7 @@ class ExtendedRational(_Frozen):
     def __init__(self, p: int, q: int):
         _set(self, "p", p)
         _set(self, "q", q)
+        _check_ints("each of p, q", p, q)
         if q < 0:
             raise DomainError(f"denominator must be non-negative: {p}/{q}")
         if q == 0:
@@ -227,6 +235,7 @@ def reduce(p: int, q: int) -> ExtendedRational:
     >>> reduce(-3, 0)
     ExtendedRational(1, 0)
     """
+    _check_ints("each of p, q", p, q)
     if p == 0 and q == 0:
         raise DomainError("0/0 is not a slope")
     g = math.gcd(p, q)
@@ -367,6 +376,7 @@ class MobiusMap(_Frozen):
         _set(self, "b", b)
         _set(self, "c", c)
         _set(self, "d", d)
+        _check_ints("each Mobius map entry", a, b, c, d)
         if a * d - b * c not in (1, -1):
             raise DomainError(f"matrix [[{a},{b}],[{c},{d}]] is not unimodular")
 

@@ -281,7 +281,7 @@ def test_oracle_mismatch_exits_1_with_an_error_prefix(monkeypatch):
     monkeypatch.setattr(
         oracle,
         "bruteforce_geodesics",
-        lambda x, y, bound: farey.all_geodesics(INFINITY, sl("1/3")),
+        lambda x, y, bound, cap: farey.all_geodesics(INFINITY, sl("1/3")),
     )
     for argv in (
         ("distance", "1/0", "19/42"),
@@ -444,6 +444,25 @@ def test_module_entry_point():
     assert proc.stdout == "[3,3]\n"
 
 
+@pytest.mark.parametrize("flags", [(), ("--json",)], ids=["text", "json"])
+def test_closed_stdout_exits_1_without_a_traceback(flags):
+    # 4,181 paths: far more output than a pipe holds, so the write meets the
+    # closed end
+    y = str(cf_eval([2] * 17))
+    assert y == "1136689/2744210"
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "fareybridge", *flags, "geodesics", "1/0", y],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    assert proc.stdout.read(64)
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 1
+    assert err == ""  # no traceback, and no flush error at exit
+
+
 # ---------------------------------------------------------------- golden output
 
 _GOLDEN = json.loads(
@@ -584,7 +603,7 @@ def test_oracle_check_builds_no_ladder(monkeypatch):
         built.append(args)
         return real_ladder(*args, **kwargs)
 
-    # distance itself still walks the ladder; the oracle check adds none
+    # distance builds its ladder only for the ladder cap; the oracle check adds none
     monkeypatch.setattr(farey, "ladder", counted)
     for argv in (("distance", "1/0", "19/42"), ("distance", "--", "-3/7", "5/11")):
         del built[:]
@@ -691,6 +710,20 @@ def test_oracle_checks_what_is_printed(monkeypatch):
     assert invoke("--oracle", "distance", "1/0", "19/42") == (
         1, "", "error: oracle disagrees on distance(1/0, 19/42): oracle 99, computed 4\n"
     )
+
+
+def test_oracle_enumerates_under_the_commands_geo_cap(monkeypatch):
+    # FAREY_GEO_CAP=1 refuses the 2 paths to 1/2 unless --geo-cap lifts it,
+    # for the command and for its oracle check alike
+    monkeypatch.setenv(farey.GEO_CAP_ENV, "1")
+    for argv in (("geodesics", "1/0", "1/2"), ("classify-2bridge", "2", "1")):
+        for flags in ((), ("--json",)):
+            code, out, err = invoke(*flags, "--oracle", "--geo-cap", "10", *argv)
+            assert (code, err) == (0, ""), argv
+            assert out == invoke(*flags, "--geo-cap", "10", *argv)[1]
+            code, out, err = invoke(*flags, "--oracle", *argv)
+            assert (code, out) == (2, ""), argv
+            assert err.startswith("resource limit: 2 geodesics for 1/0 -> 1/2, cap is 1"), err
 
 
 def test_ladder_cap_is_checked_when_distance_answers_directly():

@@ -1,14 +1,17 @@
 from __future__ import annotations
 
 import gc
+import io
 import math
 import random
 import time
 import tracemalloc
+from collections import deque
 
 import pytest
 
 import fareybridge.farey as farey
+from fareybridge import cli
 from fareybridge.bridge import TwoBridgeLink, classify_02
 from fareybridge.errors import (
     DegenerateLadder,
@@ -35,6 +38,7 @@ from fareybridge.rationals import (
     ExtendedRational,
     MobiusMap,
     cf_eval,
+    is_adjacent,
     parse_slope,
     reduce,
 )
@@ -164,6 +168,69 @@ def test_distance_can_beat_expansion_length():
     assert distance(INFINITY, sl("2/3")) == 2
 
 
+def _ladder_bfs_distance(x: ExtendedRational, y: ExtendedRational) -> int:
+    """The distance by breadth-first search over the ladder's edges: every
+    geodesic lies in the ladder, so its shortest path is a geodesic."""
+    if x == y:
+        return 0
+    if is_adjacent(x, y):
+        return 1
+    adj: dict[ExtendedRational, list[ExtendedRational]] = {}
+    for a, b in ladder(x, y).edges():
+        adj.setdefault(a, []).append(b)
+        adj.setdefault(b, []).append(a)
+    dist = {x: 0}
+    queue = deque((x,))
+    while queue:
+        u = queue.popleft()
+        if u == y:
+            return dist[u]
+        for v in adj[u]:
+            if v not in dist:
+                dist[v] = dist[u] + 1
+                queue.append(v)
+    raise AssertionError(f"ladder disconnected between {x} and {y}")
+
+
+@pytest.mark.parametrize("source", ["1/0", "1/3", "-2/5"])
+def test_distance_matches_the_ladder_bfs_on_small_slopes(source):
+    x = sl(source)
+    checked = 0
+    for q in range(1, 81):
+        for p in range(-q, 2 * q + 1):
+            if math.gcd(p, q) == 1:
+                y = ExtendedRational(p, q)
+                assert distance(x, y) == _ladder_bfs_distance(x, y), (x, y)
+                checked += 1
+    assert checked > 5000
+
+
+def test_distance_matches_the_ladder_bfs_on_moved_pairs():
+    pairs = _moved_pairs(13, 200, sizes=(30,))
+    assert all(max(abs(x.p), x.q) >= 10**20 for x, _ in pairs)
+    for x, y in pairs:
+        assert distance(x, y) == _ladder_bfs_distance(x, y), (x, y)
+        assert distance(y, x) == _ladder_bfs_distance(y, x), (y, x)
+
+
+@pytest.mark.parametrize("entries", [[3] * 500, [30000, 5]], ids=["[3]*500", "[30000,5]"])
+def test_distance_matches_the_ladder_bfs_on_long_and_wide_targets(entries):
+    y = cf_eval(entries)
+    assert distance(INFINITY, y) == _ladder_bfs_distance(INFINITY, y)
+
+
+def test_distance_reads_no_ladder_edge(monkeypatch):
+    def no_edges(self):
+        raise AssertionError("ladder edges listed")
+
+    monkeypatch.setattr(farey.Ladder, "edges", no_edges)
+    assert distance(INFINITY, sl("19/42")) == 4
+    assert distance(sl("1/3"), sl("3/4")) == 3
+    out, err = io.StringIO(), io.StringIO()
+    assert cli.run(["distance", "1/0", "19/42"], out=out, err=err) == 0
+    assert (out.getvalue(), err.getvalue()) == ("4\n", "")
+
+
 # ---------------------------------------------------------------- geodesics
 
 def test_all_geodesics_1_2():
@@ -269,14 +336,15 @@ def test_geodesics_visit_only_ladder_vertices():
         assert set(path.vertices) <= allowed
 
 
-def _moved_pairs(seed: int, n: int):
+def _moved_pairs(seed: int, n: int, sizes=(1, 3, 30, 36)):
     """Seeded finite, non-adjacent pairs: a random unimodular map applied to
-    1/0 and to a short expansion; half of the maps have entries of 30 or
-    more digits."""
+    1/0 and to a short expansion.  A map's entries have up to a number of
+    digits drawn from sizes; by default half of the maps have entries of 30
+    or more digits."""
     rng = random.Random(seed)
     pairs = []
     while len(pairs) < n:
-        digits = rng.choice((1, 3, 30, 36))
+        digits = rng.choice(sizes)
         a, c = rng.randrange(1, 10**digits), rng.randrange(1, 10**digits)
         if math.gcd(a, c) != 1:
             continue

@@ -123,6 +123,27 @@ def test_invalid_input_raises_domain_error(case):
         cls(**bad)
 
 
+@pytest.mark.parametrize("call, kind", [
+    (lambda: fb.ExtendedRational(2.5, 1), "float"),
+    (lambda: fb.ExtendedRational(1, True), "bool"),
+    (lambda: fb.reduce(2.5, 1), "float"),
+    (lambda: fb.reduce(4, "6"), "str"),
+    (lambda: fb.MobiusMap(1, 2.5, 0, 1), "float"),
+    (lambda: fb.MobiusMap(True, 0, 0, 1), "bool"),
+    (lambda: fb.TwoBridgeLink(3.0, 1), "float"),
+    (lambda: fb.TwoBridgeLink(True, 1), "bool"),
+    (lambda: fb.make_strongly_keen_example(2.5), "float"),
+    (lambda: fb.make_strongly_keen_example(True), "bool"),
+], ids=["ExtendedRational(2.5, 1)", "ExtendedRational(1, True)", "reduce(2.5, 1)",
+        "reduce(4, '6')", "MobiusMap(1, 2.5, 0, 1)", "MobiusMap(True, 0, 0, 1)",
+        "TwoBridgeLink(3.0, 1)", "TwoBridgeLink(True, 1)", "make_strongly_keen_example(2.5)",
+        "make_strongly_keen_example(True)"])
+def test_integer_fields_must_be_exact_ints(call, kind):
+    # a bool is refused, as the caps refuse it
+    with pytest.raises(DomainError, match=f"must be an int, got {kind}$"):
+        call()
+
+
 @pytest.mark.parametrize("value, text", [
     (fb.ExtendedRational(19, 42), "ExtendedRational(19, 42)"),
     (fb.ContinuedFraction((2, 4, 1, 3)), "ContinuedFraction(entries=(2, 4, 1, 3))"),
