@@ -26,7 +26,10 @@ nothing is formatted for a set that is never output.
 Ladders lay down n fans of triangles, fan i with a_i triangles around its
 pivot c_{i-1}; its rim walks the intermediate mediants from the previous
 pivot to the next, so the L/R run lengths are (a1, ..., an), first run L.
-Every geodesic lies in the ladder; distance builds one only for its cap.
+A ladder keeps only its fans (pivots and rims); its triangles are derived
+from them when they are first read, which only the drawings, vertices()
+and edges() do.  Every geodesic lies in the ladder; distance builds one
+only for its cap, and so builds no triangle.
 The values built here are built unchecked (rationals._trusted).
 """
 
@@ -46,6 +49,7 @@ from .errors import (
 from .rationals import (
     ExtendedRational,
     _check_ints,
+    _checked_entries,
     _convergent_pairs,
     _Frozen,
     _int_text,
@@ -173,38 +177,66 @@ class FareyPath(_Frozen):
 
 
 class Ladder(_Frozen):
-    """Ordered triangle strip between two non-adjacent slopes.
+    """Ordered triangle strip between two non-adjacent slopes, kept as fans.
 
     runs are the L/R run lengths (the type); pivots are the fan centers,
     one per run, in strip order; rims are the fans' outer chains, run k's
-    from x (k = 0) or the previous pivot through run length + 1 vertices.
+    from x (k = 0) or the previous pivot to the next pivot, or to y for the
+    last run, through run length + 1 vertices.  The triangles are derived
+    from the fans: fan k's are (pivot, rim[j], rim[j+1]), labelled L for
+    even k and R for odd k, built on first read and kept in _triangles.
     Triangle i and triangle i+1 always share an edge; triangles further
     apart share at most one vertex.
     """
 
-    __slots__ = ("x", "y", "triangles", "runs", "pivots", "rims")
+    __slots__ = ("x", "y", "runs", "pivots", "rims", "_triangles")
 
     def __init__(
         self,
         x: ExtendedRational,
         y: ExtendedRational,
-        triangles: tuple[FareyTriangle, ...],
         runs: tuple[int, ...],
         pivots: tuple[ExtendedRational, ...],
         rims: tuple[tuple[ExtendedRational, ...], ...],
     ):
-        for name, value in zip(self.__slots__, (x, y, triangles, runs, pivots, rims)):
+        for name, value in zip(self.__slots__, (x, y, runs, pivots, rims, None)):
             _set(self, name, value)
+        _checked_entries(runs)
         if len(pivots) != len(runs):
             raise DomainError("one pivot per run required")
-        if sum(runs) != len(triangles):
-            raise DomainError("run lengths must sum to the triangle count")
         if len(rims) != len(runs) or any(len(rim) != a + 1 for rim, a in zip(rims, runs)):
             raise DomainError("one rim of run length + 1 vertices per run required")
+        starts, ends = (x, *pivots[:-1]), (*pivots[1:], y)
+        for pivot, rim, start, end in zip(pivots, rims, starts, ends):
+            if rim[0] != start or rim[-1] != end:
+                raise DomainError(f"the rim around {pivot} must run from {start} to {end}")
+            if len(set(rim)) != len(rim):
+                raise DomainError(f"the rim around {pivot} repeats a vertex")
+            for u in rim:
+                if not is_adjacent(pivot, u):
+                    raise DomainError(f"rim vertex {u} is not adjacent to its pivot {pivot}")
+            for u, v in zip(rim, rim[1:]):
+                if not is_adjacent(u, v):
+                    raise DomainError(f"rim vertices {u} and {v} are not adjacent")
+
+    @property
+    def triangles(self) -> tuple[FareyTriangle, ...]:
+        """Fan by fan, (pivot, rim[j], rim[j+1]) with sorted vertices."""
+        if self._triangles is None:
+            triangles = []
+            for k, (pivot, rim) in enumerate(zip(self.pivots, self.rims)):
+                label = "R" if k % 2 else "L"
+                for u, v in zip(rim, rim[1:]):  # _trusted inlined, as it runs once a triangle
+                    t = object.__new__(FareyTriangle)
+                    _set(t, "vertices", tuple(sorted((pivot, u, v), key=_sort_key)))
+                    _set(t, "label", label)
+                    triangles.append(t)
+            _set(self, "_triangles", tuple(triangles))
+        return self._triangles
 
     @property
     def triangle_count(self) -> int:
-        return len(self.triangles)
+        return sum(self.runs)
 
     def vertices(self) -> tuple[ExtendedRational, ...]:
         """All distinct vertices in first-appearance order."""
@@ -313,20 +345,12 @@ def ladder(
     # pivots around c_{i-1}, and its rim walks c_{i-2} + j*c_{i-1} up to c_i.
     inv = m.inverse()
     cv = [x, *[_map_coprime(inv, p, q) for p, q in conv[1:-1]], y]
-    triangles: list[FareyTriangle] = []
-    rims: list[tuple[ExtendedRational, ...]] = []
+    rims = []
     for i, a in enumerate(entries):
-        label, pivot = "R" if i % 2 else "L", cv[i + 1]
         (p0, q0), (p1, q1) = conv[i], conv[i + 1]
         mediants = [_map_coprime(inv, p0 + j * p1, q0 + j * q1) for j in range(1, a)]
-        rim = (cv[i], *mediants, cv[i + 2])
-        for u, v in zip(rim, rim[1:]):  # _trusted inlined, as it runs once a triangle
-            t = object.__new__(FareyTriangle)
-            _set(t, "vertices", tuple(sorted((pivot, u, v), key=_sort_key)))
-            _set(t, "label", label)
-            triangles.append(t)
-        rims.append(rim)
-    return _trusted(Ladder, x, y, tuple(triangles), entries, tuple(cv[1:-1]), tuple(rims))
+        rims.append((cv[i], *mediants, cv[i + 2]))
+    return _trusted(Ladder, x, y, entries, tuple(cv[1:-1]), tuple(rims), None)
 
 
 def ladder_type(l: Ladder) -> tuple[int, ...]:

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from .errors import DomainError, EnumerationOverflow, OracleBudget, OutOfBound
 from .farey import DEFAULT_GEO_CAP, GEO_CAP_ENV, FareyPath, GeodesicSet, _resolve_cap
-from .rationals import ExtendedRational, _Frozen, _set
+from .rationals import ExtendedRational, _check_ints, _Frozen, _set
 
 __all__ = [
     "UNREACHABLE",
@@ -86,6 +86,7 @@ class BoundedSubgraph(_Frozen):
 
     def __init__(self, bound: int):
         _set(self, "bound", bound)
+        _check_ints("bound", bound)
         if bound < 1:
             raise DomainError(f"bound must be >= 1, got {bound}")
 
@@ -230,6 +231,7 @@ def stabilized_distance(
     the bound, so agreement across doublings is the stopping signal.  Raises
     OracleBudget before computing at any bound above max_bound.
     """
+    _check_ints("max_bound", max_bound)
     bound = 4 * max(1, abs(x.p), x.q, abs(y.p), y.q)
     values: list = []
     while True:

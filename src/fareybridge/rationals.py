@@ -152,10 +152,11 @@ def _check_ints(what: str, *values) -> None:
 
 
 def _checked_entries(entries) -> tuple[int, ...]:
-    """entries as a tuple, or DomainError unless each one is an int >= 1."""
+    """entries as a tuple, or DomainError unless each one is an exact int
+    (so not a bool) >= 1."""
     es = tuple(entries)
     for a in es:
-        if not isinstance(a, int):
+        if type(a) is not int:
             raise DomainError(f"entries must be integers, got {a!r}")
         if a < 1:
             raise DomainError(f"entries must be positive: {_list_text(es)}")

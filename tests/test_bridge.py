@@ -190,7 +190,7 @@ def test_make_strongly_keen_example_rejects_bad_input():
         make_strongly_keen_example(3, (3, 2))  # entry below 3
 
 
-@pytest.mark.parametrize("bad", [2.5, 3.5, "3", None])
+@pytest.mark.parametrize("bad", [2.5, 3.5, "3", None, True])
 def test_make_strongly_keen_example_rejects_non_integer_entries(bad):
     with pytest.raises(DomainError, match="^entries must be integers, got "):
         make_strongly_keen_example(3, [bad, 3])

@@ -38,10 +38,14 @@ from fareybridge.rationals import (
     ExtendedRational,
     MobiusMap,
     cf_eval,
+    cf_expand,
+    convergents,
     is_adjacent,
+    normalize_pair,
     parse_slope,
     reduce,
 )
+from fareybridge.render import render_ascii
 
 sl = parse_slope
 
@@ -443,10 +447,111 @@ def test_ladder_keeps_the_rim_of_each_fan():
         "1/2 5/11",
         "4/9 9/20 14/31 19/42",
     ]
+    assert farey.Ladder(l.x, l.y, l.runs, l.pivots, l.rims) == l
     with pytest.raises(DomainError):
-        farey.Ladder(l.x, l.y, l.triangles, l.runs, l.pivots, l.rims[:-1])
+        farey.Ladder(l.x, l.y, l.runs, l.pivots, l.rims[:-1])
     with pytest.raises(DomainError):
-        farey.Ladder(l.x, l.y, l.triangles, l.runs, l.pivots, l.rims[:-1] + (l.rims[-1][1:],))
+        farey.Ladder(l.x, l.y, l.runs, l.pivots, l.rims[:-1] + (l.rims[-1][1:],))
+
+
+def _fan(*texts: str) -> tuple[ExtendedRational, ...]:
+    return tuple(sl(t) for t in texts)
+
+
+@pytest.mark.parametrize("y, runs, pivots, rims, message", [
+    # 2/3 lies on a path from 1/0 to 1/4, but not around 0/1
+    ("1/4", (5,), ("0/1",), [("1/0", "1/1", "2/3", "1/2", "1/3", "1/4")],
+     "rim vertex 2/3 is not adjacent to its pivot 0/1"),
+    # the second rim starts at 1/2, one step before the previous pivot 0/1
+    ("3/10", (3, 4), ("0/1", "1/3"),
+     [("1/0", "1/1", "1/2", "1/3"), ("1/2", "0/1", "1/4", "2/7", "3/10")],
+     "the rim around 1/3 must run from 0/1 to 3/10"),
+    ("1/3", (3,), ("0/1",), [("1/1", "1/2", "1/3", "1/4")],
+     "the rim around 0/1 must run from 1/0 to 1/3"),
+    ("3/10", (3, 3), ("0/1", "1/3"),
+     [("1/0", "1/1", "1/2", "1/3"), ("0/1", "1/4", "2/7", "3/11")],
+     "the rim around 1/3 must run from 0/1 to 3/10"),
+    ("3/10", (3, 3), ("0/1", "1/3"),
+     [("1/0", "1/1", "1/2", "1/4"), ("0/1", "1/4", "2/7", "3/10")],
+     "the rim around 0/1 must run from 1/0 to 1/3"),
+    ("1/3", (3,), ("0/1",), [("1/0", "1/1", "1/4", "1/3")],
+     "rim vertices 1/1 and 1/4 are not adjacent"),
+    ("1/2", (4,), ("0/1",), [("1/0", "1/1", "1/2", "1/1", "1/2")],
+     "the rim around 0/1 repeats a vertex"),
+    ("1/3", (True, 1), ("0/1", "1/3"), [("1/0", "1/3"), ("0/1", "1/3")],
+     "entries must be integers, got True"),
+], ids=["rim off its pivot", "rim not from the previous pivot", "first rim not from x",
+        "last rim not to y", "rim not to the next pivot", "rim not a path", "rim repeats",
+        "bool run"])
+def test_ladder_constructor_checks_the_fans(y, runs, pivots, rims, message):
+    with pytest.raises(DomainError, match=f"^{message}$"):
+        farey.Ladder(INFINITY, sl(y), runs, _fan(*pivots), tuple(_fan(*rim) for rim in rims))
+
+
+def _reference_triangles(x, y) -> tuple[FareyTriangle, ...]:
+    """The ladder's triangles rebuilt from the expansion, without its fans:
+    fan i pivots around c_{i-1} and its rim runs c_{i-2} + j*c_{i-1},
+    each vertex mapped back by a validated reduce and each triangle built
+    by the validated constructor, with its vertices sorted by (p, q)."""
+    m, image = normalize_pair(x, y)
+    entries = cf_expand(image).entries
+    inv = m.inverse()
+    conv = [(1, 0), (0, 1)] + [(c.p, c.q) for c in convergents(entries)]
+
+    def back(p, q):
+        return reduce(inv.a * p + inv.b * q, inv.c * p + inv.d * q)
+
+    triangles = []
+    for i, a in enumerate(entries):
+        (p0, q0), (p1, q1) = conv[i], conv[i + 1]
+        pivot = back(p1, q1)
+        rim = [back(p0 + j * p1, q0 + j * q1) for j in range(a + 1)]
+        for u, v in zip(rim, rim[1:]):
+            vs = tuple(sorted((pivot, u, v), key=lambda w: (w.p, w.q)))
+            triangles.append(FareyTriangle(vs, "R" if i % 2 else "L"))
+    return tuple(triangles)
+
+
+def test_triangles_are_read_off_the_fans():
+    rng = random.Random(14)
+    pairs = _moved_pairs(1414, 150)
+    pairs += [(INFINITY, cf_eval([rng.randint(1, 6) for _ in range(rng.randint(1, 12))] + [2]))
+              for _ in range(150)]
+    for x, y in pairs:
+        l = ladder(x, y)
+        assert l._triangles is None
+        assert l.triangles == _reference_triangles(x, y), (x, y)
+        assert l.triangles is l.triangles  # built once, then kept
+        assert l.triangle_count == len(l.triangles) == sum(l.runs)
+        assert "".join(t.label for t in l.triangles) == "".join(
+            "LR"[k % 2] * a for k, a in enumerate(l.runs))
+
+
+def test_only_drawings_vertices_and_edges_build_triangles(monkeypatch):
+    built = []
+    real_ladder = farey.ladder
+
+    def recording(*args, **kwargs):
+        built.append(real_ladder(*args, **kwargs))
+        return built[-1]
+
+    monkeypatch.setattr(farey, "ladder", recording)
+    pairs = [(INFINITY, sl("19/42")), (INFINITY, sl("1/2")), (INFINITY, cf_eval([30000, 5]))]
+    pairs += _moved_pairs(3, 6)
+    for x, y in pairs:
+        distance(x, y)
+        l = farey.ladder(x, y)
+        if l.triangle_count >= 3:
+            spine(l)
+        render_ascii(l)
+        for argv in (["--json", "ladder"], ["ladder"], ["ladder", "--render", "ascii"]):
+            out, err = io.StringIO(), io.StringIO()
+            assert cli.run([*argv, "--", str(x), str(y)], out=out, err=err) == 0
+    assert len(built) == 5 * len(pairs)
+    assert all(l._triangles is None for l in built)
+    for l in built[:4]:
+        l.vertices()
+    assert all(l._triangles is not None for l in built[:4])
 
 
 # ---------------------------------------------------------------- enumeration

@@ -132,7 +132,7 @@ def test_cf_eval_rejects_nonpositive_entries():
         cf_eval([-1])
 
 
-@pytest.mark.parametrize("bad", [2.5, "3", None])
+@pytest.mark.parametrize("bad", [2.5, "3", None, True])
 @pytest.mark.parametrize("entry_point", [ContinuedFraction, cf_eval, convergents])
 def test_entries_must_be_integers(entry_point, bad):
     with pytest.raises(DomainError, match="^entries must be integers, got "):

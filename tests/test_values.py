@@ -11,7 +11,7 @@ import pytest
 
 import fareybridge as fb
 from fareybridge.errors import DomainError
-from fareybridge.oracle import BoundedSubgraph
+from fareybridge.oracle import BoundedSubgraph, bounded_distance, stabilized_distance
 from fareybridge.rationals import _trusted
 
 sl = fb.parse_slope
@@ -20,7 +20,7 @@ INF, ZERO = fb.INFINITY, fb.ZERO
 
 def _ladder_fields(y: str) -> dict:
     l = fb.ladder(INF, sl(y))
-    return {name: getattr(l, name) for name in ("x", "y", "triangles", "runs", "pivots", "rims")}
+    return {name: getattr(l, name) for name in ("x", "y", "runs", "pivots", "rims")}
 
 
 def _geodesic_fields(y: str) -> dict:
@@ -134,10 +134,18 @@ def test_invalid_input_raises_domain_error(case):
     (lambda: fb.TwoBridgeLink(True, 1), "bool"),
     (lambda: fb.make_strongly_keen_example(2.5), "float"),
     (lambda: fb.make_strongly_keen_example(True), "bool"),
+    (lambda: BoundedSubgraph("5"), "str"),
+    (lambda: BoundedSubgraph(True), "bool"),
+    (lambda: bounded_distance(INF, ZERO, 10.5), "float"),
+    (lambda: bounded_distance(INF, ZERO, True), "bool"),
+    (lambda: stabilized_distance(INF, sl("1/3"), max_bound="9"), "str"),
+    (lambda: stabilized_distance(INF, sl("1/3"), max_bound=True), "bool"),
 ], ids=["ExtendedRational(2.5, 1)", "ExtendedRational(1, True)", "reduce(2.5, 1)",
         "reduce(4, '6')", "MobiusMap(1, 2.5, 0, 1)", "MobiusMap(True, 0, 0, 1)",
         "TwoBridgeLink(3.0, 1)", "TwoBridgeLink(True, 1)", "make_strongly_keen_example(2.5)",
-        "make_strongly_keen_example(True)"])
+        "make_strongly_keen_example(True)", "BoundedSubgraph('5')", "BoundedSubgraph(True)",
+        "bounded_distance(INF, ZERO, 10.5)", "bounded_distance(INF, ZERO, True)",
+        "stabilized_distance(max_bound='9')", "stabilized_distance(max_bound=True)"])
 def test_integer_fields_must_be_exact_ints(call, kind):
     # a bool is refused, as the caps refuse it
     with pytest.raises(DomainError, match=f"must be an int, got {kind}$"):
@@ -154,13 +162,8 @@ def test_integer_fields_must_be_exact_ints(call, kind):
     (fb.FareyPath((INF, ZERO)),
      "FareyPath(vertices=(ExtendedRational(1, 0), ExtendedRational(0, 1)))"),
     (fb.ladder(INF, sl("1/3")),
-     "Ladder(x=ExtendedRational(1, 0), y=ExtendedRational(1, 3), triangles=("
-     "FareyTriangle(vertices=(ExtendedRational(0, 1), ExtendedRational(1, 0), "
-     "ExtendedRational(1, 1)), label='L'), "
-     "FareyTriangle(vertices=(ExtendedRational(0, 1), ExtendedRational(1, 1), "
-     "ExtendedRational(1, 2)), label='L'), "
-     "FareyTriangle(vertices=(ExtendedRational(0, 1), ExtendedRational(1, 2), "
-     "ExtendedRational(1, 3)), label='L')), runs=(3,), pivots=(ExtendedRational(0, 1),), "
+     "Ladder(x=ExtendedRational(1, 0), y=ExtendedRational(1, 3), "
+     "runs=(3,), pivots=(ExtendedRational(0, 1),), "
      "rims=((ExtendedRational(1, 0), ExtendedRational(1, 1), ExtendedRational(1, 2), "
      "ExtendedRational(1, 3)),))"),
     (fb.all_geodesics(INF, sl("1/3")),
