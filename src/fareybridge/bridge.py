@@ -23,6 +23,7 @@ from .rationals import (
     ContinuedFraction,
     ExtendedRational,
     _check_ints,
+    _check_type,
     _checked_entries,
     _Frozen,
     _int_text,
@@ -106,6 +107,7 @@ class TwoBridgeLink(_Frozen):
 
 def components(link: TwoBridgeLink) -> int:
     """Number of components: 2 when q is even (including q = 0), else 1."""
+    _check_type("the link", TwoBridgeLink, link)
     return 2 if link.q % 2 == 0 else 1
 
 
@@ -170,11 +172,13 @@ def splitting_distance_02(link: TwoBridgeLink) -> int:
 
     S(1, 0) gives the unknot's value 1; S(0, 1) gives 0.  No ladder is built.
     """
+    _check_type("the link", TwoBridgeLink, link)
     return farey._length_and_count(INFINITY, link.slope)[0]
 
 
 def is_keen_02(link: TwoBridgeLink) -> bool:
     """Always true; see KEEN_02_NOTE for the reason."""
+    _check_type("the link", TwoBridgeLink, link)
     return True
 
 
@@ -183,7 +187,8 @@ def is_strongly_keen_02(link: TwoBridgeLink) -> bool:
 
     Distance <= 1 forces uniqueness.
     """
-    return farey.is_unique_geodesic(INFINITY, link.slope)
+    _check_type("the link", TwoBridgeLink, link)
+    return farey._length_and_count(INFINITY, link.slope)[1] == 1
 
 
 def classify_02(
@@ -197,8 +202,9 @@ def classify_02(
     Without geodesics the report is read off the geodesic count alone, so
     the enumeration cap does not apply.
     """
+    _check_type("the link", TwoBridgeLink, link)
     if include_geodesics:
-        gs = farey.all_geodesics(INFINITY, link.slope, cap=cap)
+        gs = farey._all_geodesics(INFINITY, link.slope, cap)
         length, count = gs.length, len(gs)
     else:
         gs = None
@@ -216,6 +222,7 @@ def classify_03(composite: CompositeLink) -> SplittingReport:
     case (i) trivial knot, (ii) one nontrivial summand, (iii) connected
     sum of two nontrivial summands; such splittings are never keen.
     """
+    _check_type("the composite", CompositeLink, composite)
     # subject, splitting, distance, case, keen, strongly_keen, exact, note, geodesics
     subject = str(composite)
     if any(s.is_trivial_2component for s in composite.summands):

@@ -49,14 +49,14 @@ SCHEMA_VERSION = 1
 # ---------------------------------------------------------------- serialization
 
 def geodesic_set_to_jsonable(gs: GeodesicSet) -> dict:
-    # The set makes its paths' texts once, each distinct vertex formatted once.
+    # A walked set's rows come straight off its steps: no path is built for them.
     return {
         "x": str(gs.source),
         "y": str(gs.target),
         "distance": gs.length,
         "unique": gs.unique,
-        "count": len(gs.paths),
-        "geodesics": [list(t) for t in gs._texts],
+        "count": len(gs),
+        "geodesics": gs._rows(),
     }
 
 
@@ -284,7 +284,7 @@ def _oracle_check(x, y, bound: int, payload: dict, geo_cap: int | None) -> None:
             )
         return
     want = oracle.bruteforce_geodesics(x, y, bound, cap=geo_cap)
-    rows, theirs = payload["geodesics"], [list(t) for t in want._texts]
+    rows, theirs = payload["geodesics"], want._rows()
     if want.length != got or rows != theirs:
         raise FareyBridgeError(
             f"oracle disagrees on geodesics({x}, {y}): oracle {len(theirs)} paths of "

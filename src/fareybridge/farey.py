@@ -9,26 +9,29 @@ c_{k-2} to c_k is an edge when a_k = 1 and two edges through the mediant
 c_{k-2} + c_{k-1} when a_k = 2, and a recurrence over them gives the
 distance and the geodesic count in O(n) steps.  The --oracle box
 (_ladder_box) is read off the convergents too, and stops once it passes the
-budget.  The geodesics themselves are listed in sorted order as they are
-built, in time and memory linear in the output: each vertex they visit is
-mapped back once, without a gcd.
+budget.  all_geodesics checks its cap against the count, then one backward
+pass lists the steps of the skeleton that lie on a geodesic: each vertex
+on one is mapped back once, without a gcd.  The set keeps those steps,
+and its paths are listed from them in sorted order, in time linear in
+the output, only when they are first read.
 
-Vertex texts are made in all_geodesics, where each vertex is mapped back:
-each is formatted once, and the walk that copies the vertices into every
-path through them copies their strings beside them, into the set's texts
-(GeodesicSet._texts); serializing a set only copies those rows.  Vertices
-past _NAMED_BITS, where str costs time quadratic in the digits, are not
-named there, and a set built by the public constructor, as the JSON reader
-and the oracle build theirs, is not named either: their texts are made on
-first read, each distinct vertex object formatted once (_name_paths), so
-nothing is formatted for a set that is never output.
+Vertex texts are made in that backward pass too, where each vertex is
+mapped back: each is formatted once, and the steps keep the text beside
+the vertex.  Output walks the rows straight off the texts
+(GeodesicSet._rows), one new list per path sharing the strings, and
+builds no path.  Vertices past _NAMED_BITS, where str costs time
+quadratic in the digits, are not named there, and a set built by the
+public constructor, as the JSON reader and the oracle build theirs, has
+no steps: their rows are made from their paths when output, each
+distinct vertex object formatted once (_name_paths), so nothing is
+formatted for a set that is never output.
 
 Ladders lay down n fans of triangles, fan i with a_i triangles around its
 pivot c_{i-1}; its rim walks the intermediate mediants from the previous
 pivot to the next, so the L/R run lengths are (a1, ..., an), first run L.
 A ladder keeps only its fans (pivots and rims); its triangles are derived
-from them when they are first read, which only the drawings, vertices()
-and edges() do.  Every geodesic lies in the ladder; distance builds one
+from them when they are first read, which only the SVG drawing and
+edges() do.  Every geodesic lies in the ladder; distance builds one
 only for its cap, and so builds no triangle.
 The values built here are built unchecked (rationals._trusted).
 """
@@ -49,6 +52,7 @@ from .errors import (
 from .rationals import (
     ExtendedRational,
     _check_ints,
+    _check_type,
     _checked_entries,
     _convergent_pairs,
     _Frozen,
@@ -147,6 +151,8 @@ class FareyPath(_Frozen):
 
     def __init__(self, vertices: tuple[ExtendedRational, ...]):
         _set(self, "vertices", vertices)
+        _check_type("vertices", tuple, vertices)
+        _check_type("each vertex", ExtendedRational, *vertices)
         vs = vertices
         if not vs:
             raise DomainError("path needs at least one vertex")
@@ -239,10 +245,13 @@ class Ladder(_Frozen):
         return sum(self.runs)
 
     def vertices(self) -> tuple[ExtendedRational, ...]:
-        """All distinct vertices in first-appearance order."""
+        """All distinct vertices in the order the triangles first list them,
+        read off the fans: a fan's first triangle lists its pivot and first
+        two rim vertices, sorted, and each later one adds the next rim
+        vertex."""
         seen: dict[ExtendedRational, None] = {}
-        for t in self.triangles:
-            for v in t.vertices:
+        for pivot, rim in zip(self.pivots, self.rims):
+            for v in (*sorted((pivot, rim[0], rim[1]), key=_sort_key), *rim[2:]):
                 seen.setdefault(v)
         return tuple(seen)
 
@@ -261,12 +270,18 @@ class Ladder(_Frozen):
 class GeodesicSet(_Frozen):
     """Every shortest path between two slopes, in deterministic order.
 
-    _texts holds each path's vertices as text, path by path: each
-    distinct vertex object is formatted once, and the paths share the
-    strings.  _named holds them, or None until they are first read.
+    A set that all_geodesics walked keeps its walk, (root, steps, t,
+    count), in _walk: steps[i] lists the steps out of skeleton node i that
+    lie on a geodesic, as (vertices the step adds, their texts, node it
+    reaches); root is the step into node 0 that adds the source; t is the
+    target's node and count the number of paths.  Its paths are walked on
+    first read and kept in _paths, and _rows() walks the paths' texts
+    afresh on each call, so output builds no path.  A set built from its
+    paths has them in _paths and _walk None.
     """
 
-    __slots__ = ("source", "target", "length", "paths", "_named")
+    __slots__ = ("source", "target", "length", "_paths", "_walk")
+    _fields = ("source", "target", "length", "paths")
 
     def __init__(
         self,
@@ -275,8 +290,10 @@ class GeodesicSet(_Frozen):
         length: int,
         paths: tuple[FareyPath, ...],
     ):
-        for name, value in zip(self.__slots__, (source, target, length, paths)):
+        for name, value in zip(self.__slots__, (source, target, length, paths, None)):
             _set(self, name, value)
+        _check_type("paths", tuple, paths)
+        _check_type("each path", FareyPath, *paths)
         if not paths:
             raise DomainError("a geodesic set is never empty")
         for p in paths:
@@ -286,32 +303,81 @@ class GeodesicSet(_Frozen):
                 raise DomainError("path length disagrees with the set")
         if len(set(paths)) != len(paths):
             raise DomainError("duplicate geodesic")
-        _set(self, "_named", None)
 
     @property
-    def _texts(self) -> tuple[tuple[str, ...], ...]:
-        if self._named is None:
-            _set(self, "_named", _name_paths(self.paths))
-        return self._named
+    def paths(self) -> tuple[FareyPath, ...]:
+        if self._paths is None:
+            _set(self, "_paths", tuple(_follow(self._walk, 0, _path)))
+        return self._paths
+
+    def _rows(self) -> list[list[str]]:
+        """Each path's vertices as text, in a new list per path, walked off
+        the steps' texts.  A set built from its paths, or walked past
+        _NAMED_BITS, has no texts there: its rows are made from its paths,
+        each distinct vertex object formatted once."""
+        walk = self._walk
+        if walk is None or not walk[0][1]:
+            return _name_paths(self.paths)
+        return _follow(walk, 1, list)
 
     @property
     def unique(self) -> bool:
-        return len(self.paths) == 1
+        return len(self) == 1
 
     def __len__(self) -> int:
-        return len(self.paths)
+        return len(self._paths) if self._paths is not None else self._walk[3]
 
     def __iter__(self):
         return iter(self.paths)
 
 
-def _name_paths(paths: tuple[FareyPath, ...]) -> tuple[tuple[str, ...], ...]:
+def _name_paths(paths: tuple[FareyPath, ...]) -> list[list[str]]:
     """The paths' vertices as text, each distinct vertex object formatted once."""
     names: dict[int, str] = {}
-    return tuple(
-        tuple([names.get(id(v)) or names.setdefault(id(v), str(v)) for v in p.vertices])
-        for p in paths
-    )
+    return [
+        [names.get(id(v)) or names.setdefault(id(v), str(v)) for v in p.vertices] for p in paths
+    ]
+
+
+def _follow(walk, k: int, make) -> list:
+    """make(prefix) for each geodesic of walk, in sorted order, where prefix
+    lists item k of each step the path takes: 0 its vertices, 1 their texts.
+
+    One prefix is kept in place.  The steps out of a node add distinct
+    vertices, so taking them in order lists the paths sorted.  A forced run
+    is followed without branching, and each path is copied once, when it
+    reaches the target, so the paths share the steps' objects.  A node has
+    at most two steps, to the next node and the one after.  Forced steps
+    are not merged into longer ones: on a long forced run, such as [3]*k,
+    that would copy quadratically.
+    """
+    root, steps, t, _ = walk
+    out = []
+    prefix: list = []
+    todo = [root]  # steps still to take
+    kept = [0]  # the length of the prefix each of them extends
+    while todo:
+        step = todo.pop()
+        del prefix[kept.pop():]
+        prefix += step[k]
+        i = step[2]
+        while len(steps[i]) == 1:
+            step, = steps[i]
+            prefix += step[k]
+            i = step[2]
+        if i == t:
+            out.append(make(prefix))
+        else:
+            first, second = steps[i]
+            todo += second, first
+            kept += len(prefix), len(prefix)
+    return out
+
+
+def _path(vertices: list[ExtendedRational]) -> FareyPath:
+    path = object.__new__(FareyPath)  # _trusted inlined, as it runs once a path
+    _set(path, "vertices", tuple(vertices))
+    return path
 
 
 def ladder(
@@ -326,6 +392,12 @@ def ladder(
     DegenerateLadder for adjacent endpoints, LadderTooLarge when the strip
     would exceed the vertex cap (FAREY_LADDER_CAP, default 10**6 vertices).
     """
+    _check_type("each slope", ExtendedRational, x, y)
+    return _ladder(x, y, vertex_cap)
+
+
+def _ladder(x: ExtendedRational, y: ExtendedRational, vertex_cap: int | None) -> Ladder:
+    """ladder, for slopes the library holds."""
     cap = _resolve_cap(vertex_cap, LADDER_CAP_ENV, DEFAULT_LADDER_CAP)
     if x == y:
         raise EmptyLadder(f"no ladder between equal slopes {x}")
@@ -355,6 +427,7 @@ def ladder(
 
 def ladder_type(l: Ladder) -> tuple[int, ...]:
     """Run lengths of the L/R labels, first run labelled L."""
+    _check_type("the ladder", Ladder, l)
     return l.runs
 
 
@@ -364,6 +437,7 @@ def spine(l: Ladder) -> FareyPath:
     Defined only for ladders with at least 3 triangles (SpineUndefined
     otherwise; the sole 2-triangle shape is the type-(2) ladder).
     """
+    _check_type("the ladder", Ladder, l)
     if l.triangle_count < 3:
         raise SpineUndefined(
             f"spine needs >= 3 triangles, ladder has {l.triangle_count}"
@@ -382,12 +456,13 @@ def distance(
     The vertex cap is checked first; then 0 and 1 are answered directly,
     else it is read off the runs of the ladder, built only for its cap.
     """
+    _check_type("each slope", ExtendedRational, x, y)
     cap = _resolve_cap(vertex_cap, LADDER_CAP_ENV, DEFAULT_LADDER_CAP)
     if x == y:
         return 0
     if is_adjacent(x, y):
         return 1
-    return list(_geodesic_counts(ladder(x, y, vertex_cap=cap).runs))[-1][0]
+    return list(_geodesic_counts(_ladder(x, y, cap).runs))[-1][0]
 
 
 def _frame(x: ExtendedRational, y: ExtendedRational):
@@ -475,12 +550,18 @@ def all_geodesics(
 ) -> GeodesicSet:
     """Every geodesic from x to y, sorted, capped at FAREY_GEO_CAP (10**5).
 
-    The cap is checked against the geodesic count before any path is
-    built.  The paths are listed in sorted order as they are built, and
-    they share their vertex objects and the vertices' texts; time and
-    memory are linear in the output.  x = y yields the single empty path
-    (one vertex, zero edges).
+    The cap is checked against the geodesic count before any vertex is
+    mapped back.  Then one backward pass over the convergent skeleton lists
+    the steps that lie on a geodesic, and the set keeps them: its paths are
+    walked on first read and its rows on output, in time linear in what is
+    read.  x = y yields the single empty path (one vertex, zero edges).
     """
+    _check_type("each slope", ExtendedRational, x, y)
+    return _all_geodesics(x, y, cap)
+
+
+def _all_geodesics(x: ExtendedRational, y: ExtendedRational, cap: int | None) -> GeodesicSet:
+    """all_geodesics, for slopes the library holds."""
     cap_value = _resolve_cap(cap, GEO_CAP_ENV, DEFAULT_GEO_CAP)
     if x == y:
         return _trusted(GeodesicSet, x, y, 0, (_trusted(FareyPath, (x,)),), None)
@@ -493,7 +574,7 @@ def all_geodesics(
     # what mapping it back does.  A vertex has at most one bit more than
     # inv's largest entry and the target's convergent together; past
     # _NAMED_BITS, str grows quadratic in the digits, and the texts are left
-    # to their first read.
+    # to the set's paths.
     inv = m.inverse()
     bits = max(map(abs, (inv.a, inv.b, inv.c, inv.d))).bit_length() + conv[-1][1].bit_length()
     named = bits <= _NAMED_BITS
@@ -524,41 +605,8 @@ def all_geodesics(
             w = _map_coprime(inv, p0 + p1, q0 + q1)
             steps[j - 2].append(((w, v), (str(w), *said) if named else (), j))
     steps[0].sort(key=_first_vertex_key)
-
-    # Walk forward from x, one prefix in place and its texts beside it: the
-    # steps out of a node add distinct vertices, so taking them in order
-    # lists the paths sorted.  A forced run is followed without branching,
-    # and each path and its texts are copied once, when it reaches the
-    # target, so the paths share the strings.  A node has at most two
-    # steps, to the next node and the one after.  Forced steps are not
-    # merged into longer ones: on a long forced run, such as [3]*k, that
-    # would copy quadratically.
-    paths = []
-    texts = []
-    prefix = [x]
-    words = [str(x)] if named else []
-    todo = [((), (), 0)]  # steps still to take
-    kept = [1]  # the length of the prefix each of them extends
-    while todo:
-        head, said, i = todo.pop()
-        k = kept.pop()
-        del prefix[k:], words[k:]
-        prefix += head
-        words += said
-        while len(steps[i]) == 1:
-            (head, said, i), = steps[i]
-            prefix += head
-            words += said
-        if i == t:  # _trusted(FareyPath, ...) inlined, as it runs once a path
-            path = object.__new__(FareyPath)
-            _set(path, "vertices", tuple(prefix))
-            paths.append(path)
-            texts.append(tuple(words))
-        else:
-            first, second = steps[i]
-            todo += second, first
-            kept += len(prefix), len(prefix)
-    return _trusted(GeodesicSet, x, y, dist[-1], tuple(paths), tuple(texts) if named else None)
+    root = ((x,), (str(x),) if named else (), 0)
+    return _trusted(GeodesicSet, x, y, dist[-1], None, (root, steps, t, count[-1]))
 
 
 def is_unique_geodesic(x: ExtendedRational, y: ExtendedRational) -> bool:
@@ -567,4 +615,5 @@ def is_unique_geodesic(x: ExtendedRational, y: ExtendedRational) -> bool:
     Reads the geodesic count off the convergent skeleton; nothing is
     enumerated, so no cap applies.
     """
+    _check_type("each slope", ExtendedRational, x, y)
     return _length_and_count(x, y)[1] == 1

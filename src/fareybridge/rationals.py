@@ -99,14 +99,17 @@ class _Frozen:
     fields named in _compared, all of them by default.  A slot whose name
     starts with "_" holds data derived from the fields, which the
     constructor rebuilds: it is no field, so ==, hash, repr, pickle and copy
-    leave it out.
+    leave it out.  A subclass may name its fields in _fields instead, in
+    constructor order; a field named there may be a property that reads
+    such slots.
     """
 
     __slots__ = ()
+    _fields: tuple[str, ...] | None = None
     _compared: tuple[str, ...] | None = None
 
     def __init_subclass__(cls):
-        fields = tuple(name for name in cls.__slots__ if not name.startswith("_"))
+        fields = cls._fields or tuple(name for name in cls.__slots__ if not name.startswith("_"))
         cls.__match_args__ = fields
         cls._values = staticmethod(_getter(fields))
         cls._key = staticmethod(_getter(cls._compared or fields))
@@ -142,6 +145,13 @@ def _trusted(cls, *values):
     for name, value in zip(cls.__slots__, values):
         _set(obj, name, value)
     return obj
+
+
+def _check_type(what: str, cls: type, *values) -> None:
+    """DomainError unless every value is exactly a cls."""
+    for v in values:
+        if type(v) is not cls:
+            raise DomainError(f"{what} must be {cls.__name__}, got {type(v).__name__}")
 
 
 def _check_ints(what: str, *values) -> None:

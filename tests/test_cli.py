@@ -214,7 +214,7 @@ def test_geodesic_set_formats_each_distinct_vertex_once(monkeypatch):
     assert len(gs.paths) == 55 and len(distinct) == 20
     assert calls == len(distinct) + 2  # and once each for "x" and "y"
     # the paths share their texts, one string per distinct vertex
-    assert len({id(s) for t in gs._texts for s in t}) == len(distinct)
+    assert len({id(s) for t in gs._rows() for s in t}) == len(distinct)
     # read back, no two paths share a vertex object, and the output is the same
     back = geodesic_set_from_jsonable(doc)
     assert len({id(v) for p in back.paths for v in p.vertices}) == sum(
@@ -242,7 +242,7 @@ def test_geodesic_sets_past_the_named_bits_are_formatted_on_first_read(monkeypat
     monkeypatch.undo()
     distinct = {v for p in gs.paths for v in p.vertices}
     assert len(gs.paths) == 8 and calls == len(distinct) + 2
-    assert len({id(s) for t in gs._texts for s in t}) == len(distinct)
+    assert len({id(s) for t in gs._rows() for s in t}) == len(distinct)
     assert doc["geodesics"] == [[str(v) for v in p.vertices] for p in gs.paths]
 
 
@@ -261,6 +261,26 @@ def test_every_geodesic_set_serializes_to_the_same_rows(x, y):
     assert doc["geodesics"] == rows
     for gs in (built, read, checked):
         assert gs == walked and geodesic_set_to_jsonable(gs) == doc
+
+
+def test_output_builds_no_path(monkeypatch):
+    argvs = [
+        (*flags, *argv)
+        for argv in (("geodesics", "1/0", "19/42"), ("geodesics", "--", "-3/7", "5/11"),
+                     ("geodesics", "2/5", "2/5"), ("classify-2bridge", "182", "79"),
+                     ("classify-2bridge", "1", "0"))
+        for flags in ((), ("--json",), ("--oracle",), ("--oracle", "--json"))
+    ]
+    link = bridge.TwoBridgeLink(610, 233)
+    want = [invoke(*argv) for argv in argvs], report_to_jsonable(bridge.classify_02(link))
+
+    def refused(vertices):
+        raise AssertionError("path built")
+
+    monkeypatch.setattr(farey, "_path", refused)
+    got = [invoke(*argv) for argv in argvs], report_to_jsonable(bridge.classify_02(link))
+    assert got == want
+    assert all(code == 0 for code, _, _ in got[0])
 
 
 # ---------------------------------------------------------------- oracle flag
@@ -597,14 +617,14 @@ def test_oracle_bound_is_the_box_of_the_ladder():
 
 def test_oracle_check_builds_no_ladder(monkeypatch):
     built = []
-    real_ladder = farey.ladder
+    real_ladder = farey._ladder
 
     def counted(*args, **kwargs):
         built.append(args)
         return real_ladder(*args, **kwargs)
 
     # distance builds its ladder only for the ladder cap; the oracle check adds none
-    monkeypatch.setattr(farey, "ladder", counted)
+    monkeypatch.setattr(farey, "_ladder", counted)
     for argv in (("distance", "1/0", "19/42"), ("distance", "--", "-3/7", "5/11")):
         del built[:]
         assert invoke(*argv)[0] == 0
@@ -615,7 +635,7 @@ def test_oracle_check_builds_no_ladder(monkeypatch):
     def no_ladder(*args, **kwargs):
         raise AssertionError("ladder built")
 
-    monkeypatch.setattr(farey, "ladder", no_ladder)
+    monkeypatch.setattr(farey, "_ladder", no_ladder)
     for argv in (
         ("geodesics", "1/0", "19/42"),
         ("geodesics", "--", "-3/7", "5/11"),

@@ -1,8 +1,10 @@
 from __future__ import annotations
 
+import copy
 import gc
 import io
 import math
+import pickle
 import random
 import time
 import tracemalloc
@@ -529,13 +531,14 @@ def test_triangles_are_read_off_the_fans():
 
 def test_only_drawings_vertices_and_edges_build_triangles(monkeypatch):
     built = []
-    real_ladder = farey.ladder
+    real_ladder = farey._ladder
 
     def recording(*args, **kwargs):
         built.append(real_ladder(*args, **kwargs))
         return built[-1]
 
-    monkeypatch.setattr(farey, "ladder", recording)
+    # the public ladder and distance both build through the unchecked core
+    monkeypatch.setattr(farey, "_ladder", recording)
     pairs = [(INFINITY, sl("19/42")), (INFINITY, sl("1/2")), (INFINITY, cf_eval([30000, 5]))]
     pairs += _moved_pairs(3, 6)
     for x, y in pairs:
@@ -551,6 +554,9 @@ def test_only_drawings_vertices_and_edges_build_triangles(monkeypatch):
     assert all(l._triangles is None for l in built)
     for l in built[:4]:
         l.vertices()
+    assert all(l._triangles is None for l in built)
+    for l in built[:4]:
+        l.edges()
     assert all(l._triangles is not None for l in built[:4])
 
 
@@ -614,6 +620,63 @@ def test_enumeration_matches_the_sorted_reference_on_branchy_slopes():
         m = MobiusMap(a, (a * d - 1) // c, c, d)
         _assert_matches_reference(m.apply(INFINITY), m.apply(y))
         _assert_matches_reference(m.apply(y), m.apply(INFINITY))
+
+
+def _walk_cases():
+    """Every p/q with q <= 60 from 1/0, 200 seeded moved pairs, each both
+    ways, and one pair past _NAMED_BITS."""
+    pairs = [(INFINITY, INFINITY)]
+    pairs += [(INFINITY, reduce(p, q)) for q in range(1, 61) for p in range(q + 1)
+              if math.gcd(p, q) == 1]
+    for x, y in _moved_pairs(424, 200):
+        pairs += [(x, y), (y, x)]
+    y = cf_eval([3] * 300 + [2] * 4 + [5])
+    assert y.q.bit_length() > farey._NAMED_BITS
+    return pairs + [(INFINITY, y)]
+
+
+def test_geodesic_set_keeps_its_walk():
+    for x, y in _walk_cases():
+        gs = all_geodesics(x, y)
+        n, unique = len(gs), gs.unique
+        # the count and uniqueness are read off the walk, and so are the
+        # rows while the walk names its vertices
+        assert (gs._paths is None) is (x != y), (x, y)
+        rows, again = gs._rows(), gs._rows()
+        assert (gs._paths is None) is (x != y and gs._walk[0][1] != ()), (x, y)
+        assert rows == again and rows is not again
+        assert all(a is not b for a, b in zip(rows, again))
+        assert rows == [[str(v) for v in p.vertices] for p in gs.paths], (x, y)
+        assert (n, unique) == (len(gs.paths), len(gs.paths) == 1)
+        built = GeodesicSet(gs.source, gs.target, gs.length, gs.paths)
+        assert gs == built and hash(gs) == hash(built) and repr(gs) == repr(built)
+        assert built._rows() == rows and len(built) == n
+        for w in (pickle.loads(pickle.dumps(gs)), copy.copy(gs), copy.deepcopy(gs)):
+            assert type(w) is GeodesicSet and w == gs and hash(w) == hash(gs)
+            assert repr(w) == repr(gs) and w._rows() == rows
+
+
+def test_enumeration_overflow_is_raised_before_any_walk(monkeypatch):
+    def refused(*args):
+        raise AssertionError("walked or mapped back")
+
+    monkeypatch.setattr(farey, "_follow", refused)
+    monkeypatch.setattr(farey, "_map_coprime", refused)
+    y = cf_eval([5] + [2] * 20 + [7])
+    with pytest.raises(EnumerationOverflow):
+        all_geodesics(INFINITY, y, cap=1000)
+    with pytest.raises(EnumerationOverflow):
+        classify_02(TwoBridgeLink(y.q, y.p), cap=1000)
+
+
+def test_all_geodesics_walks_no_path(monkeypatch):
+    def refused(*args):
+        raise AssertionError("walked")
+
+    monkeypatch.setattr(farey, "_follow", refused)
+    gs = all_geodesics(INFINITY, cf_eval([5] + [2] * 20 + [7]))
+    assert (gs.length, len(gs), gs.unique) == (23, 17711, False)
+    assert gs._paths is None
 
 
 def test_long_expansion_enumerates_in_linear_time():

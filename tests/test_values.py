@@ -152,6 +152,39 @@ def test_integer_fields_must_be_exact_ints(call, kind):
         call()
 
 
+LINK = fb.TwoBridgeLink(3, 1)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: fb.distance("1/2", INF), "each slope must be ExtendedRational, got str"),
+    (lambda: fb.all_geodesics(INF, 3), "each slope must be ExtendedRational, got int"),
+    (lambda: fb.is_unique_geodesic(INF, None),
+     "each slope must be ExtendedRational, got NoneType"),
+    (lambda: fb.ladder(INF, (1, 3)), "each slope must be ExtendedRational, got tuple"),
+    (lambda: fb.spine(None), "the ladder must be Ladder, got NoneType"),
+    (lambda: fb.ladder_type(fb.spine(fb.ladder(INF, sl("3/10")))),
+     "the ladder must be Ladder, got FareyPath"),
+    (lambda: fb.classify_02(5), "the link must be TwoBridgeLink, got int"),
+    (lambda: fb.classify_03([LINK]), "the composite must be CompositeLink, got list"),
+    (lambda: fb.components("S(3,1)"), "the link must be TwoBridgeLink, got str"),
+    (lambda: fb.splitting_distance_02(sl("1/3")),
+     "the link must be TwoBridgeLink, got ExtendedRational"),
+    (lambda: fb.is_keen_02(None), "the link must be TwoBridgeLink, got NoneType"),
+    (lambda: fb.is_strongly_keen_02((3, 1)), "the link must be TwoBridgeLink, got tuple"),
+    (lambda: fb.FareyPath([INF]), "vertices must be tuple, got list"),
+    (lambda: fb.FareyPath((INF, "0/1")), "each vertex must be ExtendedRational, got str"),
+    (lambda: fb.GeodesicSet(INF, INF, 0, [fb.FareyPath((INF,))]), "paths must be tuple, got list"),
+    (lambda: fb.GeodesicSet(INF, INF, 0, ((INF,),)), "each path must be FareyPath, got tuple"),
+], ids=["distance('1/2', INF)", "all_geodesics(INF, 3)", "is_unique_geodesic(INF, None)",
+        "ladder(INF, (1, 3))", "spine(None)", "ladder_type(path)", "classify_02(5)",
+        "classify_03([link])", "components(str)", "splitting_distance_02(slope)",
+        "is_keen_02(None)", "is_strongly_keen_02(tuple)", "FareyPath([v])",
+        "FareyPath(str vertex)", "GeodesicSet([path])", "GeodesicSet(tuple path)"])
+def test_public_calls_and_constructors_refuse_wrong_types(call, message):
+    with pytest.raises(DomainError, match=f"^{message}$"):
+        call()
+
+
 @pytest.mark.parametrize("value, text", [
     (fb.ExtendedRational(19, 42), "ExtendedRational(19, 42)"),
     (fb.ContinuedFraction((2, 4, 1, 3)), "ContinuedFraction(entries=(2, 4, 1, 3))"),
