@@ -118,6 +118,8 @@ class CompositeLink(_Frozen):
 
     def __init__(self, summands: tuple[TwoBridgeLink, ...]):
         _set(self, "summands", summands)
+        _check_type("summands", tuple, summands)
+        _check_type("each summand", TwoBridgeLink, *summands)
         if not 1 <= len(summands) <= 2:
             raise DomainError(f"composite needs 1 or 2 summands, got {len(summands)}")
 
@@ -205,13 +207,14 @@ def classify_02(
     _check_type("the link", TwoBridgeLink, link)
     if include_geodesics:
         gs = farey._all_geodesics(INFINITY, link.slope, cap)
-        length, count = gs.length, len(gs)
+        length, unique = gs.length, gs.unique
     else:
         gs = None
         length, count = farey._length_and_count(INFINITY, link.slope)
+        unique = count == 1
     # subject, splitting, distance, case, keen, strongly_keen, exact, note, geodesics
     return _trusted(
-        SplittingReport, str(link), "02", length, "02", True, count == 1, True, KEEN_02_NOTE, gs
+        SplittingReport, str(link), "02", length, "02", True, unique, True, KEEN_02_NOTE, gs
     )
 
 

@@ -7,13 +7,13 @@ key order and separators, so identical inputs give byte-identical output.
 
 from __future__ import annotations
 
-import argparse
 import os
 import sys
 
-# json and oracle are imported inside the functions that use them (oracle in
-# _oracle only): at module level they would add to the start of every command
-# that needs neither.
+# argparse, json and oracle are imported inside the functions that use them
+# (argparse in _build_parser, oracle in _oracle): at module level they would
+# add to every import of the JSON helpers, which need none of them, and json
+# and oracle to the start of every command that needs neither.
 from . import bridge, farey, render
 from .errors import (
     DomainError,
@@ -26,10 +26,10 @@ from .farey import FareyPath, GeodesicSet
 from .rationals import (
     INFINITY,
     ExtendedRational,
+    _cf_expand,
     _int_text,
     _parse_int,
     cf_eval,
-    cf_expand,
     parse_slope,
 )
 
@@ -155,50 +155,68 @@ class _UsageError(Exception):
     pass
 
 
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):  # argparse would sys.exit(2); we want 64
-        raise _UsageError(message)
+# argparse.ArgumentParser whose error raises _UsageError, so a usage error
+# exits 64 where argparse would sys.exit(2); made by the first _build_parser.
+_Parser = None
+
+
+def _bad(message: str) -> Exception:
+    """The error a type converter raises for argparse to report as message.
+    The converters run only inside parse_args, so argparse is loaded."""
+    from argparse import ArgumentTypeError
+
+    return ArgumentTypeError(message)
 
 
 def _slope(text: str) -> ExtendedRational:
     try:
         return parse_slope(text)
     except DomainError as e:
-        raise argparse.ArgumentTypeError(str(e)) from None
+        raise _bad(str(e)) from None
 
 
 def _int(text: str) -> int:
     try:
         return _parse_int(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        raise _bad(f"invalid int value: {text!r}") from None
 
 
 def _entry_list(text: str) -> list[int]:
     try:
         entries = [_parse_int(t) for t in text.replace(" ", "").split(",") if t]
     except ValueError:
-        raise argparse.ArgumentTypeError(f"not a comma-separated int list: {text!r}")
+        raise _bad(f"not a comma-separated int list: {text!r}")
     if not entries:
-        raise argparse.ArgumentTypeError("empty entry list")
+        raise _bad("empty entry list")
     return entries
 
 
 def _qp(text: str) -> bridge.TwoBridgeLink:
     parts = text.split("/")
     if len(parts) != 2:
-        raise argparse.ArgumentTypeError(f"expected q/p, got {text!r}")
+        raise _bad(f"expected q/p, got {text!r}")
     try:
         q, p = _parse_int(parts[0]), _parse_int(parts[1])
     except ValueError:
-        raise argparse.ArgumentTypeError(f"expected integers q/p, got {text!r}")
+        raise _bad(f"expected integers q/p, got {text!r}")
     try:
         return bridge.TwoBridgeLink(q, p)
     except DomainError as e:
-        raise argparse.ArgumentTypeError(str(e)) from None
+        raise _bad(str(e)) from None
 
 
-def _build_parser() -> _Parser:
+def _build_parser():
+    global _Parser
+    if _Parser is None:
+        import argparse
+
+        class Parser(argparse.ArgumentParser):
+            def error(self, message):
+                raise _UsageError(message)
+
+        _Parser = Parser
+
     parser = _Parser(
         prog="fareybridge",
         description="Farey graph geodesics and 2-bridge splitting distances.",
@@ -299,7 +317,7 @@ def _oracle_check(x, y, bound: int, payload: dict, geo_cap: int | None) -> None:
 # is returned as a string and written as it is.
 
 def _cf(args) -> dict:
-    return {"slope": str(args.slope), "cf": list(cf_expand(args.slope).entries)}
+    return {"slope": str(args.slope), "cf": list(_cf_expand(args.slope).entries)}
 
 
 def _eval(args) -> dict:
@@ -356,7 +374,7 @@ def _gen_keen(args) -> dict:
     link = bridge.make_strongly_keen_example(args.n, args.entries)
     return {
         "n": args.n,
-        "entries": list(cf_expand(link.slope).entries),
+        "entries": list(_cf_expand(link.slope).entries),
         "link": str(link),
         "slope": str(link.slope),
         "distance": args.n,

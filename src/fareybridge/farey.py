@@ -33,12 +33,15 @@ A ladder keeps only its fans (pivots and rims); its triangles are derived
 from them when they are first read, which only the SVG drawing and
 edges() do.  Every geodesic lies in the ladder; distance builds one
 only for its cap, and so builds no triangle.
-The values built here are built unchecked (rationals._trusted).
+The values built here are built unchecked (rationals._trusted), and the
+rationals they are built from are read with the unchecked cores (_det,
+_is_adjacent, _normalize_pair, _cf_expand) behind the public names.
 """
 
 from __future__ import annotations
 
 import os
+import sys
 from itertools import chain
 
 from .errors import (
@@ -51,21 +54,21 @@ from .errors import (
 )
 from .rationals import (
     ExtendedRational,
+    _cf_expand,
     _check_ints,
     _check_type,
     _checked_entries,
     _convergent_pairs,
+    _det,
     _Frozen,
     _int_text,
+    _is_adjacent,
     _map_coprime,
+    _normalize_pair,
     _parse_int,
     _quotients,
     _set,
     _trusted,
-    cf_expand,
-    det,
-    is_adjacent,
-    normalize_pair,
 )
 
 __all__ = [
@@ -130,12 +133,14 @@ class FareyTriangle(_Frozen):
     ):
         _set(self, "vertices", vertices)
         _set(self, "label", label)
+        _check_type("vertices", tuple, vertices)
+        _check_type("each vertex", ExtendedRational, *vertices)
         vs = vertices
         if len(vs) != 3 or len(set(vs)) != 3:
             raise DomainError("triangle needs three distinct vertices")
         for i in range(3):
             for j in range(i + 1, 3):
-                if abs(det(vs[i], vs[j])) != 1:
+                if abs(_det(vs[i], vs[j])) != 1:
                     raise DomainError(f"not a Farey triangle: {vs[i]}, {vs[j]}")
         if label not in ("L", "R"):
             raise DomainError(f"label must be L or R, got {label!r}")
@@ -159,7 +164,7 @@ class FareyPath(_Frozen):
         if len(set(vs)) != len(vs):
             raise DomainError("path repeats a vertex")
         for u, v in zip(vs, vs[1:]):
-            if not is_adjacent(u, v):
+            if not _is_adjacent(u, v):
                 raise DomainError(f"not an edge: {u} -- {v}")
 
     def __eq__(self, other):
@@ -207,6 +212,11 @@ class Ladder(_Frozen):
     ):
         for name, value in zip(self.__slots__, (x, y, runs, pivots, rims, None)):
             _set(self, name, value)
+        _check_type("runs", tuple, runs)
+        _check_type("pivots", tuple, pivots)
+        _check_type("rims", tuple, rims)
+        _check_type("each rim", tuple, *rims)
+        _check_type("each vertex", ExtendedRational, x, y, *pivots, *chain.from_iterable(rims))
         _checked_entries(runs)
         if len(pivots) != len(runs):
             raise DomainError("one pivot per run required")
@@ -219,10 +229,10 @@ class Ladder(_Frozen):
             if len(set(rim)) != len(rim):
                 raise DomainError(f"the rim around {pivot} repeats a vertex")
             for u in rim:
-                if not is_adjacent(pivot, u):
+                if not _is_adjacent(pivot, u):
                     raise DomainError(f"rim vertex {u} is not adjacent to its pivot {pivot}")
             for u, v in zip(rim, rim[1:]):
-                if not is_adjacent(u, v):
+                if not _is_adjacent(u, v):
                     raise DomainError(f"rim vertices {u} and {v} are not adjacent")
 
     @property
@@ -277,7 +287,9 @@ class GeodesicSet(_Frozen):
     target's node and count the number of paths.  Its paths are walked on
     first read and kept in _paths, and _rows() walks the paths' texts
     afresh on each call, so output builds no path.  A set built from its
-    paths has them in _paths and _walk None.
+    paths has them in _paths and _walk None.  A walked set's count and
+    uniqueness are read off its walk; len() refuses a count past
+    sys.maxsize, which it cannot return.
     """
 
     __slots__ = ("source", "target", "length", "_paths", "_walk")
@@ -322,10 +334,19 @@ class GeodesicSet(_Frozen):
 
     @property
     def unique(self) -> bool:
-        return len(self) == 1
+        return self._count() == 1
+
+    def _count(self) -> int:
+        return len(self._paths) if self._paths is not None else self._walk[3]
 
     def __len__(self) -> int:
-        return len(self._paths) if self._paths is not None else self._walk[3]
+        count = self._count()
+        if count > sys.maxsize:
+            raise EnumerationOverflow(
+                f"{_int_text(count)} geodesics for {self.source} -> {self.target}, "
+                f"more than len() can return"
+            )
+        return count
 
     def __iter__(self):
         return iter(self.paths)
@@ -401,7 +422,7 @@ def _ladder(x: ExtendedRational, y: ExtendedRational, vertex_cap: int | None) ->
     cap = _resolve_cap(vertex_cap, LADDER_CAP_ENV, DEFAULT_LADDER_CAP)
     if x == y:
         raise EmptyLadder(f"no ladder between equal slopes {x}")
-    if is_adjacent(x, y):
+    if _is_adjacent(x, y):
         raise DegenerateLadder(f"{x} and {y} are adjacent; the ladder is empty")
 
     m, entries, conv = _frame(x, y)
@@ -460,7 +481,7 @@ def distance(
     cap = _resolve_cap(vertex_cap, LADDER_CAP_ENV, DEFAULT_LADDER_CAP)
     if x == y:
         return 0
-    if is_adjacent(x, y):
+    if _is_adjacent(x, y):
         return 1
     return list(_geodesic_counts(_ladder(x, y, cap).runs))[-1][0]
 
@@ -469,8 +490,8 @@ def _frame(x: ExtendedRational, y: ExtendedRational):
     """(m, entries, conv) for distinct x, y: m normalizes the pair, entries
     expand m(y), and conv holds the convergents c_{-1} = 1/0, c_0 = 0/1,
     ..., c_n = m(y) as integer pairs."""
-    m, image = normalize_pair(x, y)
-    entries = cf_expand(image).entries
+    m, image = _normalize_pair(x, y)
+    entries = _cf_expand(image).entries
     return m, entries, [(1, 0), (0, 1), *_convergent_pairs(entries)]
 
 
@@ -488,7 +509,7 @@ def _ladder_box(x: ExtendedRational, y: ExtendedRational, limit: int) -> int:
     bound = max(abs(x.p), x.q)
     if x == y or bound > limit:
         return bound
-    m, image = normalize_pair(x, y)
+    m, image = _normalize_pair(x, y)
     inv = m.inverse()
     for p, q in chain(((0, 1),), _convergent_pairs(_quotients(image.p, image.q))):
         bound = max(bound, abs(inv.a * p + inv.b * q), abs(inv.c * p + inv.d * q))
@@ -535,7 +556,7 @@ def _length_and_count(x: ExtendedRational, y: ExtendedRational) -> tuple[int, in
     off the expansion one entry at a time; no convergent is built."""
     if x == y:
         return 0, 1
-    _, image = normalize_pair(x, y)
+    _, image = _normalize_pair(x, y)
     d, n = 1, 1  # at c_0 = 0/1, which is the image when x, y are adjacent
     for d, n in _geodesic_counts(_quotients(image.p, image.q)):
         pass

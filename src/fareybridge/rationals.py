@@ -260,6 +260,7 @@ def reduce(p: int, q: int) -> ExtendedRational:
 
 def parse_slope(text: str) -> ExtendedRational:
     """Parse 'p/q' (or a bare integer) into a canonical slope."""
+    _check_type("the slope text", str, text)
     m = _SLOPE_RE.match(text.strip())
     if not m:
         raise DomainError(f"cannot parse slope: {text!r}")
@@ -272,16 +273,29 @@ def det(x: ExtendedRational, y: ExtendedRational) -> int:
     >>> det(reduce(79, 182), ExtendedRational(1, 0))
     -182
     """
+    _check_type("each slope", ExtendedRational, x, y)
+    return _det(x, y)
+
+
+def _det(x: ExtendedRational, y: ExtendedRational) -> int:
+    """det, for slopes the library holds."""
     return x.p * y.q - x.q * y.p
 
 
 def is_adjacent(x: ExtendedRational, y: ExtendedRational) -> bool:
     """Farey adjacency: |det| = 1."""
-    return abs(det(x, y)) == 1
+    _check_type("each slope", ExtendedRational, x, y)
+    return _is_adjacent(x, y)
+
+
+def _is_adjacent(x: ExtendedRational, y: ExtendedRational) -> bool:
+    """is_adjacent, for slopes the library holds."""
+    return abs(_det(x, y)) == 1
 
 
 def mediant(x: ExtendedRational, y: ExtendedRational) -> ExtendedRational:
     """Mediant (p+r)/(q+s); already reduced when x, y are Farey-adjacent."""
+    _check_type("each slope", ExtendedRational, x, y)
     return reduce(x.p + y.p, x.q + y.q)
 
 
@@ -323,6 +337,12 @@ def cf_expand(x: ExtendedRational) -> ContinuedFraction:
     >>> cf_expand(ExtendedRational(0, 1)).entries
     ()
     """
+    _check_type("the slope", ExtendedRational, x)
+    return _cf_expand(x)
+
+
+def _cf_expand(x: ExtendedRational) -> ContinuedFraction:
+    """cf_expand, for a slope the library holds."""
     if x.is_infinity or x.p < 0 or x.p >= x.q:
         raise DomainError(f"cf_expand requires 0 <= p/q < 1, got {x}")
     return _trusted(ContinuedFraction, tuple(_quotients(x.p, x.q)))
@@ -451,6 +471,8 @@ def _map_coprime(m: MobiusMap, p: int, q: int) -> ExtendedRational:
 
 def mobius_apply(m: MobiusMap, x: ExtendedRational) -> ExtendedRational:
     """Function form of MobiusMap.apply."""
+    _check_type("the map", MobiusMap, m)
+    _check_type("the slope", ExtendedRational, x)
     return m.apply(x)
 
 
@@ -481,6 +503,14 @@ def normalize_pair(
     >>> str(m.apply(reduce(1, 3))), str(y1)
     ('1/0', '0/1')
     """
+    _check_type("each slope", ExtendedRational, x, y)
+    return _normalize_pair(x, y)
+
+
+def _normalize_pair(
+    x: ExtendedRational, y: ExtendedRational
+) -> tuple[MobiusMap, ExtendedRational]:
+    """normalize_pair, for slopes the library holds."""
     if x == y:
         raise DomainError("normalize_pair requires distinct slopes")
     if x.is_infinity:

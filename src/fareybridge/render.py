@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from .farey import Ladder, spine
 from .errors import SpineUndefined
-from .rationals import ExtendedRational
+from .rationals import ExtendedRational, _check_type
 
 __all__ = ["render_ascii", "render_svg"]
 
@@ -37,6 +37,7 @@ def _layout(l: Ladder) -> dict[ExtendedRational, tuple[int, int]]:
 
 def render_ascii(l: Ladder) -> str:
     """Textual strip: run table, label strip, pivots and spine."""
+    _check_type("the ladder", Ladder, l)
     lines = [
         f"ladder {l.x} -> {l.y}   type ({','.join(map(str, l.runs))})   "
         f"{l.triangle_count} triangles"
@@ -64,6 +65,7 @@ _MARGIN = 60
 
 def render_svg(l: Ladder) -> str:
     """Standalone SVG: one polygon per triangle, one circle per pivot."""
+    _check_type("the ladder", Ladder, l)
     pos = _layout(l)
 
     def xy(v: ExtendedRational) -> tuple[int, int]:

@@ -436,11 +436,23 @@ def test_caps_from_the_environment_past_the_int_str_digit_limit(monkeypatch):
         assert err == f"error: {env} must be positive, got -1{'0' * 5000}\n"
 
 
-def test_resource_limits_exit_2():
+def test_resource_limits_exit_2(monkeypatch):
     code, _, err = invoke("--geo-cap", "1", "geodesics", "1/0", "1/2")
     assert code == 2 and "cap" in err
     code, _, err = invoke("--ladder-cap", "3", "ladder", "1/0", "19/42")
     assert code == 2
+    # about 7.3e41 geodesics, under the cap but past sys.maxsize: the count
+    # cannot be written as len(), and nothing is listed, nor walked by a
+    # repr in a failure report
+    def refused(*args):
+        raise AssertionError("walked")
+
+    monkeypatch.setattr(farey, "_follow", refused)
+    y = str(cf_eval([2] * 200))
+    for flags in ((), ("--json",)):
+        code, out, err = invoke(*flags, "--geo-cap", str(10**60), "geodesics", "1/0", y)
+        assert (code, out) == (2, "")
+        assert err.startswith("resource limit: 7345448671") and "Traceback" not in err
 
 
 def test_geodesics_of_a_long_expansion():

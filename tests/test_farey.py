@@ -426,7 +426,7 @@ def test_library_built_objects_are_not_rechecked(monkeypatch):
         paths = tuple(FareyPath(p.vertices) for p in gs.paths)
         assert GeodesicSet(gs.source, gs.target, gs.length, paths) == gs
 
-    real_is_adjacent = farey.is_adjacent
+    real_is_adjacent = farey._is_adjacent
 
     def endpoints_only(u, v):
         if {u, v} not in ({x, y} for x, y in pairs):
@@ -436,8 +436,8 @@ def test_library_built_objects_are_not_rechecked(monkeypatch):
     def no_det(u, v):
         raise AssertionError("triangle re-checked")
 
-    monkeypatch.setattr(farey, "is_adjacent", endpoints_only)
-    monkeypatch.setattr(farey, "det", no_det)
+    monkeypatch.setattr(farey, "_is_adjacent", endpoints_only)
+    monkeypatch.setattr(farey, "_det", no_det)
     assert [(ladder(x, y), all_geodesics(x, y)) for x, y in pairs] == want
 
 
@@ -667,6 +667,24 @@ def test_enumeration_overflow_is_raised_before_any_walk(monkeypatch):
         all_geodesics(INFINITY, y, cap=1000)
     with pytest.raises(EnumerationOverflow):
         classify_02(TwoBridgeLink(y.q, y.p), cap=1000)
+
+
+def test_a_set_past_sys_maxsize_reads_its_count_and_refuses_len(monkeypatch):
+    def refused(*args):
+        raise AssertionError("walked")
+
+    # about 7.3e41 paths, under the cap: built in milliseconds.  Its paths
+    # must never be walked, not even by a repr in a failure report.
+    monkeypatch.setattr(farey, "_follow", refused)
+    gs = all_geodesics(INFINITY, cf_eval([2] * 200), cap=10**60)
+    assert (gs.length, gs.unique) == (201, False)
+    assert gs._walk[3] == 734544867157818093234908902110449296423351
+    with pytest.raises(EnumerationOverflow, match="^7345448671.*more than len"):
+        len(gs)
+    with pytest.raises(EnumerationOverflow):
+        cli.geodesic_set_to_jsonable(gs)
+    report = classify_02(TwoBridgeLink(gs.target.q, gs.target.p), cap=10**60)
+    assert (report.distance, report.strongly_keen) == (201, False)
 
 
 def test_all_geodesics_walks_no_path(monkeypatch):

@@ -1,6 +1,6 @@
-"""What a fresh process imports: the CLI loads the oracle only under
---oracle and json only when it writes JSON, and nothing loads dataclasses
-or typing.  Checked on sys.modules in a new interpreter, so the result does
+"""What a fresh process imports: the CLI loads argparse (and with it
+gettext) only when run parses an argv, the oracle only under --oracle and
+json only when it writes JSON, and nothing loads dataclasses or typing.  Checked on sys.modules in a new interpreter, so the result does
 not depend on timing or on what this test process has imported."""
 
 from __future__ import annotations
@@ -10,7 +10,7 @@ import sys
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src"
-HEAVY = ("dataclasses", "inspect", "typing", "json", "fareybridge.oracle")
+HEAVY = ("dataclasses", "inspect", "typing", "argparse", "gettext", "json", "fareybridge.oracle")
 
 _SCRIPT = f"""
 import io, sys
@@ -41,10 +41,11 @@ def _stages() -> dict[str, list[str]]:
 
 def test_cli_loads_oracle_and_json_only_when_asked():
     stages = _stages()
+    argparse = ["argparse", "gettext"]
     assert stages == {
         "package": [],
         "import": [],
-        "distance": [],
-        "--json": ["json"],
-        "--oracle": ["json", "fareybridge.oracle"],
+        "distance": argparse,
+        "--json": [*argparse, "json"],
+        "--oracle": [*argparse, "json", "fareybridge.oracle"],
     }

@@ -10,6 +10,7 @@ import pickle
 import pytest
 
 import fareybridge as fb
+from fareybridge import render
 from fareybridge.errors import DomainError
 from fareybridge.oracle import BoundedSubgraph, bounded_distance, stabilized_distance
 from fareybridge.rationals import _trusted
@@ -18,9 +19,11 @@ sl = fb.parse_slope
 INF, ZERO = fb.INFINITY, fb.ZERO
 
 
-def _ladder_fields(y: str) -> dict:
+def _ladder_fields(y: str, **changes) -> dict:
+    """The fields of the ladder from 1/0 to y, each named in changes mapped by it."""
     l = fb.ladder(INF, sl(y))
-    return {name: getattr(l, name) for name in ("x", "y", "runs", "pivots", "rims")}
+    fields = {name: getattr(l, name) for name in ("x", "y", "runs", "pivots", "rims")}
+    return {name: changes.get(name, lambda v: v)(v) for name, v in fields.items()}
 
 
 def _geodesic_fields(y: str) -> dict:
@@ -175,11 +178,39 @@ LINK = fb.TwoBridgeLink(3, 1)
     (lambda: fb.FareyPath((INF, "0/1")), "each vertex must be ExtendedRational, got str"),
     (lambda: fb.GeodesicSet(INF, INF, 0, [fb.FareyPath((INF,))]), "paths must be tuple, got list"),
     (lambda: fb.GeodesicSet(INF, INF, 0, ((INF,),)), "each path must be FareyPath, got tuple"),
+    (lambda: fb.cf_expand("1/3"), "the slope must be ExtendedRational, got str"),
+    (lambda: fb.normalize_pair(1, 2), "each slope must be ExtendedRational, got int"),
+    (lambda: fb.parse_slope(5), "the slope text must be str, got int"),
+    (lambda: fb.det(1, 2), "each slope must be ExtendedRational, got int"),
+    (lambda: fb.is_adjacent(None, None), "each slope must be ExtendedRational, got NoneType"),
+    (lambda: fb.mediant(1, 2), "each slope must be ExtendedRational, got int"),
+    (lambda: fb.mobius_apply(None, ZERO), "the map must be MobiusMap, got NoneType"),
+    (lambda: render.render_ascii(None), "the ladder must be Ladder, got NoneType"),
+    (lambda: render.render_svg(None), "the ladder must be Ladder, got NoneType"),
+    (lambda: fb.CompositeLink((3, 1)), "each summand must be TwoBridgeLink, got int"),
+    (lambda: hash(fb.CompositeLink([LINK])), "summands must be tuple, got list"),
+    (lambda: hash(fb.FareyTriangle([ZERO, INF, fb.reduce(1, 1)], "L")),
+     "vertices must be tuple, got list"),
+    (lambda: fb.FareyTriangle((ZERO, INF, "1/1"), "L"),
+     "each vertex must be ExtendedRational, got str"),
+    (lambda: fb.Ladder(**_ladder_fields("3/10", runs=list)), "runs must be tuple, got list"),
+    (lambda: fb.Ladder(**_ladder_fields("3/10", pivots=list)), "pivots must be tuple, got list"),
+    (lambda: fb.Ladder(**_ladder_fields("3/10", rims=list)), "rims must be tuple, got list"),
+    (lambda: fb.Ladder(**_ladder_fields("3/10", rims=lambda rims: (list(rims[0]), *rims[1:]))),
+     "each rim must be tuple, got list"),
+    (lambda: fb.Ladder(**_ladder_fields("3/10", pivots=lambda ps: ("0/1", *ps[1:]))),
+     "each vertex must be ExtendedRational, got str"),
 ], ids=["distance('1/2', INF)", "all_geodesics(INF, 3)", "is_unique_geodesic(INF, None)",
         "ladder(INF, (1, 3))", "spine(None)", "ladder_type(path)", "classify_02(5)",
         "classify_03([link])", "components(str)", "splitting_distance_02(slope)",
         "is_keen_02(None)", "is_strongly_keen_02(tuple)", "FareyPath([v])",
-        "FareyPath(str vertex)", "GeodesicSet([path])", "GeodesicSet(tuple path)"])
+        "FareyPath(str vertex)", "GeodesicSet([path])", "GeodesicSet(tuple path)",
+        "cf_expand(str)", "normalize_pair(1, 2)", "parse_slope(5)", "det(1, 2)",
+        "is_adjacent(None, None)", "mediant(1, 2)", "mobius_apply(None, ZERO)",
+        "render_ascii(None)", "render_svg(None)", "CompositeLink((3, 1))",
+        "CompositeLink([link])", "FareyTriangle([v, v, v])", "FareyTriangle(str vertex)",
+        "Ladder(runs=list)", "Ladder(pivots=list)", "Ladder(rims=list)", "Ladder(list rim)",
+        "Ladder(str pivot)"])
 def test_public_calls_and_constructors_refuse_wrong_types(call, message):
     with pytest.raises(DomainError, match=f"^{message}$"):
         call()
