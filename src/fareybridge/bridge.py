@@ -25,6 +25,7 @@ from .rationals import (
     _check_ints,
     _check_type,
     _checked_entries,
+    _entry_tuple,
     _Frozen,
     _int_text,
     _list_text,
@@ -258,7 +259,7 @@ def make_strongly_keen_example(
             raise ResourceLimit(
                 f"{_int_text(n - 1)} default entries do not fit in memory"
             ) from None
-    entries = tuple(entries)
+    entries = _entry_tuple(entries)
     if len(entries) != n - 1:
         raise DomainError(
             f"need {_int_text(n - 1)} entries for distance {_int_text(n)}, "

@@ -3,19 +3,29 @@
 Vertices are canonical slopes, edges are pairs with |det| = 1.  A pair is
 normalized so the source is 1/0 and the target is p/q in [0, 1), and p/q
 is expanded as [a1, ..., an] with convergents c_{-1} = 1/0, c_0 = 0/1,
-..., c_n = p/q: this is the frame (_frame) every answer is read off.
-Geodesics run along it: c_{k-1} to c_k is an edge,
+..., c_n = p/q: every answer is read off this skeleton.  The normal form
+(rationals._normal_form) is ints only: the inverse map's four entries,
+which map a skeleton point back, and p and q.  Geodesics run along the
+skeleton: c_{k-1} to c_k is an edge,
 c_{k-2} to c_k is an edge when a_k = 1 and two edges through the mediant
 c_{k-2} + c_{k-1} when a_k = 2, and a recurrence over them gives the
 distance and the geodesic count in O(n) steps.  The --oracle box
 (_ladder_box) is read off the convergents too, and stops once it passes the
-budget.  all_geodesics checks its cap against the count, then one backward
-pass lists the steps of the skeleton that lie on a geodesic: each vertex
-on one is mapped back once, without a gcd.  The set keeps those steps,
-and its paths are listed from them in sorted order, in time linear in
-the output, only when they are first read.
+budget.
 
-Vertex texts are made in that backward pass too, where each vertex is
+all_geodesics makes two walks over the expansion.  The forward walk reads
+the entries off Euclid one at a time and keeps them with each node's
+distance, and the count; the cap is checked against the count before any
+convergent is made.  The backward walk starts from c_n = p/q and c_{n-1},
+whose denominator one pass over the entries runs up and whose numerator
+the determinant of the two gives, and runs the convergents down,
+c_{k-2} = c_k - a_k c_{k-1}, keeping only the last two.  It lists
+the steps out of each node that lie on a geodesic: each vertex on one is
+mapped back once, without a gcd, and no other vertex is.  The set keeps
+those steps, and its paths are listed from them in sorted order, in time
+linear in the output, only when they are first read.
+
+Vertex texts are made in the backward walk too, where each vertex is
 mapped back: each is formatted once, and the steps keep the text beside
 the vertex.  Output walks the rows straight off the texts
 (GeodesicSet._rows), one new list per path sharing the strings, and
@@ -35,7 +45,7 @@ edges() do.  Every geodesic lies in the ladder; distance builds one
 only for its cap, and so builds no triangle.
 The values built here are built unchecked (rationals._trusted), and the
 rationals they are built from are read with the unchecked cores (_det,
-_is_adjacent, _normalize_pair, _cf_expand) behind the public names.
+_is_adjacent, _normal_form, _quotients) behind the public names.
 """
 
 from __future__ import annotations
@@ -54,7 +64,6 @@ from .errors import (
 )
 from .rationals import (
     ExtendedRational,
-    _cf_expand,
     _check_ints,
     _check_type,
     _checked_entries,
@@ -64,7 +73,7 @@ from .rationals import (
     _int_text,
     _is_adjacent,
     _map_coprime,
-    _normalize_pair,
+    _normal_form,
     _parse_int,
     _quotients,
     _set,
@@ -117,10 +126,6 @@ def _resolve_cap(explicit: int | None, env_name: str, default: int) -> int:
 
 def _sort_key(v: ExtendedRational) -> tuple[int, int]:
     return (v.p, v.q)
-
-
-def _first_vertex_key(step) -> tuple[int, int]:
-    return _sort_key(step[0][0])
 
 
 class FareyTriangle(_Frozen):
@@ -289,7 +294,8 @@ class GeodesicSet(_Frozen):
     afresh on each call, so output builds no path.  A set built from its
     paths has them in _paths and _walk None.  A walked set's count and
     uniqueness are read off its walk; len() refuses a count past
-    sys.maxsize, which it cannot return.
+    sys.maxsize, which it cannot return, and repr names a count past
+    DEFAULT_GEO_CAP instead of the paths.
     """
 
     __slots__ = ("source", "target", "length", "_paths", "_walk")
@@ -351,6 +357,18 @@ class GeodesicSet(_Frozen):
     def __iter__(self):
         return iter(self.paths)
 
+    def __repr__(self) -> str:
+        """The fields, as for any value; past DEFAULT_GEO_CAP paths, the
+        count in place of the paths, so that no repr walks a set which the
+        default cap would refuse."""
+        count = self._count()
+        if count <= DEFAULT_GEO_CAP:
+            return super().__repr__()
+        return (
+            f"GeodesicSet(source={self.source!r}, target={self.target!r}, "
+            f"length={self.length!r}, paths=<{_int_text(count)} paths>)"
+        )
+
 
 def _name_paths(paths: tuple[FareyPath, ...]) -> list[list[str]]:
     """The paths' vertices as text, each distinct vertex object formatted once."""
@@ -395,6 +413,15 @@ def _follow(walk, k: int, make) -> list:
     return out
 
 
+def _order(node_steps: list) -> None:
+    """Put a node's steps, at most two, in the order of the first vertex
+    each adds, by (p, q)."""
+    if len(node_steps) == 2:
+        u, w = node_steps[0][0][0], node_steps[1][0][0]
+        if (w.p, w.q) < (u.p, u.q):
+            node_steps.reverse()
+
+
 def _path(vertices: list[ExtendedRational]) -> FareyPath:
     path = object.__new__(FareyPath)  # _trusted inlined, as it runs once a path
     _set(path, "vertices", tuple(vertices))
@@ -425,8 +452,9 @@ def _ladder(x: ExtendedRational, y: ExtendedRational, vertex_cap: int | None) ->
     if _is_adjacent(x, y):
         raise DegenerateLadder(f"{x} and {y} are adjacent; the ladder is empty")
 
-    m, entries, conv = _frame(x, y)
-    # m(y) = 0/1 would mean adjacency, excluded above; so entries is not empty.
+    a, b, c, d, p, q = _normal_form(x, y)
+    # p/q = 0/1 would mean adjacency, excluded above; so entries is not empty.
+    entries = tuple(_quotients(p, q))
     n_vertices = sum(entries) + 2
     if n_vertices > cap:
         raise LadderTooLarge(
@@ -436,12 +464,12 @@ def _ladder(x: ExtendedRational, y: ExtendedRational, vertex_cap: int | None) ->
     # The convergents are mapped back once, into cv, which the fans share;
     # each interior mediant lies on one fan only and is mapped there.  Fan i
     # pivots around c_{i-1}, and its rim walks c_{i-2} + j*c_{i-1} up to c_i.
-    inv = m.inverse()
-    cv = [x, *[_map_coprime(inv, p, q) for p, q in conv[1:-1]], y]
+    conv = [(1, 0), (0, 1), *_convergent_pairs(entries)]
+    cv = [x, *[_map_coprime(a, b, c, d, r, s) for r, s in conv[1:-1]], y]
     rims = []
-    for i, a in enumerate(entries):
+    for i, e in enumerate(entries):
         (p0, q0), (p1, q1) = conv[i], conv[i + 1]
-        mediants = [_map_coprime(inv, p0 + j * p1, q0 + j * q1) for j in range(1, a)]
+        mediants = [_map_coprime(a, b, c, d, p0 + j * p1, q0 + j * q1) for j in range(1, e)]
         rims.append((cv[i], *mediants, cv[i + 2]))
     return _trusted(Ladder, x, y, entries, tuple(cv[1:-1]), tuple(rims), None)
 
@@ -486,15 +514,6 @@ def distance(
     return list(_geodesic_counts(_ladder(x, y, cap).runs))[-1][0]
 
 
-def _frame(x: ExtendedRational, y: ExtendedRational):
-    """(m, entries, conv) for distinct x, y: m normalizes the pair, entries
-    expand m(y), and conv holds the convergents c_{-1} = 1/0, c_0 = 0/1,
-    ..., c_n = m(y) as integer pairs."""
-    m, image = _normalize_pair(x, y)
-    entries = _cf_expand(image).entries
-    return m, entries, [(1, 0), (0, 1), *_convergent_pairs(entries)]
-
-
 def _ladder_box(x: ExtendedRational, y: ExtendedRational, limit: int) -> int:
     """max(|p|, q) over the vertices of the ladder between x and y, and over
     x alone when x = y; or, as soon as the running maximum passes limit,
@@ -509,10 +528,9 @@ def _ladder_box(x: ExtendedRational, y: ExtendedRational, limit: int) -> int:
     bound = max(abs(x.p), x.q)
     if x == y or bound > limit:
         return bound
-    m, image = _normalize_pair(x, y)
-    inv = m.inverse()
-    for p, q in chain(((0, 1),), _convergent_pairs(_quotients(image.p, image.q))):
-        bound = max(bound, abs(inv.a * p + inv.b * q), abs(inv.c * p + inv.d * q))
+    a, b, c, d, p, q = _normal_form(x, y)
+    for r, s in chain(((0, 1),), _convergent_pairs(_quotients(p, q))):
+        bound = max(bound, abs(a * r + b * s), abs(c * r + d * s))
         if bound > limit:
             break
     return bound
@@ -537,28 +555,14 @@ def _geodesic_counts(entries):
         yield d, n
 
 
-def _skeleton(x: ExtendedRational, y: ExtendedRational):
-    """(m, entries, conv, dist, count) for distinct x, y: _frame's m, entries
-    and conv, and dist[i], count[i], the distance from 1/0 to conv[i] and
-    the number of geodesics realizing it.
-    """
-    m, entries, conv = _frame(x, y)
-    dist = [0, 1]
-    count = [1, 1]
-    for d, n in _geodesic_counts(entries):
-        dist.append(d)
-        count.append(n)
-    return m, entries, conv, dist, count
-
-
 def _length_and_count(x: ExtendedRational, y: ExtendedRational) -> tuple[int, int]:
     """Distance from x to y and the number of geodesics realizing it, read
     off the expansion one entry at a time; no convergent is built."""
     if x == y:
         return 0, 1
-    _, image = _normalize_pair(x, y)
+    p, q = _normal_form(x, y)[4:]
     d, n = 1, 1  # at c_0 = 0/1, which is the image when x, y are adjacent
-    for d, n in _geodesic_counts(_quotients(image.p, image.q)):
+    for d, n in _geodesic_counts(_quotients(p, q)):
         pass
     return d, n
 
@@ -586,48 +590,61 @@ def _all_geodesics(x: ExtendedRational, y: ExtendedRational, cap: int | None) ->
     cap_value = _resolve_cap(cap, GEO_CAP_ENV, DEFAULT_GEO_CAP)
     if x == y:
         return _trusted(GeodesicSet, x, y, 0, (_trusted(FareyPath, (x,)),), None)
-    m, entries, conv, dist, count = _skeleton(x, y)
-    if count[-1] > cap_value:
+    # The forward walk reads the entries of the image p/q and the distance
+    # from 1/0 to each skeleton node conv[j] = c_{j-1}: conv[0] = 1/0,
+    # conv[1] = 0/1, ..., conv[t] = p/q.  The count is checked before any
+    # convergent is made.
+    a, b, c, d, p, q = _normal_form(x, y)
+    entries = [*_quotients(p, q)]
+    dist = [0, 1]
+    count = 1  # at 0/1, which is the image when x, y are adjacent
+    for length, count in _geodesic_counts(entries):
+        dist.append(length)
+    if count > cap_value:
         raise EnumerationOverflow(
-            f"{_int_text(count[-1])} geodesics for {x} -> {y}, cap is {_int_text(cap_value)}"
+            f"{_int_text(count)} geodesics for {x} -> {y}, cap is {_int_text(cap_value)}"
         )
     # Each vertex on a geodesic is named here, once, while that costs about
     # what mapping it back does.  A vertex has at most one bit more than
-    # inv's largest entry and the target's convergent together; past
-    # _NAMED_BITS, str grows quadratic in the digits, and the texts are left
-    # to the set's paths.
-    inv = m.inverse()
-    bits = max(map(abs, (inv.a, inv.b, inv.c, inv.d))).bit_length() + conv[-1][1].bit_length()
-    named = bits <= _NAMED_BITS
+    # the inverse map's largest entry and the target's convergent together;
+    # past _NAMED_BITS, str grows quadratic in the digits, and the texts are
+    # left to the set's paths.
+    named = max(map(abs, (a, b, c, d))).bit_length() + q.bit_length() <= _NAMED_BITS
 
-    # One backward pass lists the steps out of each skeleton node that lie
-    # on a geodesic, as (vertices the step adds, their texts, node it
-    # reaches), sorted by the first vertex each adds.  A node is on a
-    # geodesic when it has such a step, and only those nodes and their
+    # The backward walk runs the convergents down from the last two,
+    # conv[j-2] = conv[j] - a_{j-1} conv[j-1].  conv[t-1] = h/k is read
+    # off p k - h q = (-1)^t, once a pass over the entries has run the
+    # denominators up to k: on long expansions that costs a third of what
+    # pow(p, -1, q) does.  The walk lists the steps out of each node that
+    # lie on a geodesic, as (vertices the step adds, their texts, node it
+    # reaches), in the order of the first vertex each adds.  A node is on
+    # a geodesic when it has such a step, and only those nodes and their
     # mediants are mapped back and named, once.
-    t = len(conv) - 1
-    steps: list[list] = [[] for _ in conv]
+    t = len(dist) - 1
+    k0, k1 = 0, 1  # the denominators of conv[0] and conv[1]
+    for e in entries:
+        k0, k1 = k1, e * k1 + k0
+    sign = -1 if t % 2 else 1
+    p0, q0, p1, q1 = (p * k0 - sign) // q, k0, p, q  # conv[j-1], conv[j]
+    steps: list[list] = [[] for _ in dist]
     for j in range(t, 0, -1):
-        if j == t:
-            v = y
-        elif steps[j]:
-            steps[j].sort(key=_first_vertex_key)
-            v = _map_coprime(inv, *conv[j])
-        else:
-            continue
-        said = (str(v),) if named else ()
-        if dist[j - 1] + 1 == dist[j]:
-            steps[j - 1].append(((v,), said, j))
-        a = entries[j - 2] if j >= 2 else 0
-        if a == 1 and dist[j - 2] + 1 == dist[j]:
-            steps[j - 2].append(((v,), said, j))
-        elif a == 2 and dist[j - 2] + 2 == dist[j]:
-            (p0, q0), (p1, q1) = conv[j - 2], conv[j - 1]
-            w = _map_coprime(inv, p0 + p1, q0 + q1)
-            steps[j - 2].append(((w, v), (str(w), *said) if named else (), j))
-    steps[0].sort(key=_first_vertex_key)
+        e = entries[j - 2] if j >= 2 else 0
+        if j == t or steps[j]:
+            _order(steps[j])
+            v = y if j == t else _map_coprime(a, b, c, d, p1, q1)
+            said = (str(v),) if named else ()
+            if dist[j - 1] + 1 == dist[j]:
+                steps[j - 1].append(((v,), said, j))
+            if e == 1 and dist[j - 2] + 1 == dist[j]:
+                steps[j - 2].append(((v,), said, j))
+            elif e == 2 and dist[j - 2] + 2 == dist[j]:
+                # the mediant conv[j-2] + conv[j-1] is conv[j] - conv[j-1]
+                w = _map_coprime(a, b, c, d, p1 - p0, q1 - q0)
+                steps[j - 2].append(((w, v), (str(w), *said) if named else (), j))
+        p0, q0, p1, q1 = p1 - e * p0, q1 - e * q0, p0, q0
+    _order(steps[0])
     root = ((x,), (str(x),) if named else (), 0)
-    return _trusted(GeodesicSet, x, y, dist[-1], None, (root, steps, t, count[-1]))
+    return _trusted(GeodesicSet, x, y, dist[-1], None, (root, steps, t, count))
 
 
 def is_unique_geodesic(x: ExtendedRational, y: ExtendedRational) -> bool:

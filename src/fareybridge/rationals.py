@@ -161,10 +161,18 @@ def _check_ints(what: str, *values) -> None:
             raise DomainError(f"{what} must be an int, got {type(v).__name__}")
 
 
+def _entry_tuple(entries) -> tuple:
+    """entries as a tuple, or DomainError when they cannot be iterated."""
+    try:
+        return tuple(entries)
+    except TypeError:
+        raise DomainError(f"entries must be a sequence, got {type(entries).__name__}") from None
+
+
 def _checked_entries(entries) -> tuple[int, ...]:
     """entries as a tuple, or DomainError unless each one is an exact int
     (so not a bool) >= 1."""
-    es = tuple(entries)
+    es = _entry_tuple(entries)
     for a in es:
         if type(a) is not int:
             raise DomainError(f"entries must be integers, got {a!r}")
@@ -219,6 +227,8 @@ class ExtendedRational(_Frozen):
     def __lt__(self, other: "ExtendedRational") -> bool:
         # Cross-multiplication is valid because q, s >= 0; 1/0 sorts above
         # every finite slope, giving a total order on the vertex set.
+        if other.__class__ is not ExtendedRational:
+            return NotImplemented
         if self == other:
             return False
         return self.p * other.q < other.p * self.q
@@ -436,10 +446,12 @@ class MobiusMap(_Frozen):
         >>> MobiusMap(0, 1, 1, 0).apply(ExtendedRational(1, 0))
         ExtendedRational(0, 1)
         """
-        return _map_coprime(self, x.p, x.q)
+        _check_type("the slope", ExtendedRational, x)
+        return _map_coprime(self.a, self.b, self.c, self.d, x.p, x.q)
 
     def compose(self, other: "MobiusMap") -> "MobiusMap":
         """Matrix product: (self.compose(other))(x) = self(other(x))."""
+        _check_type("the map", MobiusMap, other)
         return _trusted(
             MobiusMap,
             self.a * other.a + self.b * other.c,
@@ -454,13 +466,14 @@ class MobiusMap(_Frozen):
         return _trusted(MobiusMap, self.d, -self.b, -self.c, self.a)
 
 
-def _map_coprime(m: MobiusMap, p: int, q: int) -> ExtendedRational:
-    """m(p/q) for a coprime pair (p, q), built without validation.
+def _map_coprime(a: int, b: int, c: int, d: int, p: int, q: int) -> ExtendedRational:
+    """(a p + b q) / (c p + d q) for a unimodular (a, b, c, d) and a coprime
+    pair (p, q), built without validation.
 
     A unimodular map keeps a pair coprime, so only the sign is fixed and
     no gcd is taken.
     """
-    r, s = m.a * p + m.b * q, m.c * p + m.d * q
+    r, s = a * p + b * q, c * p + d * q
     if s < 0 or (s == 0 and r < 0):
         r, s = -r, -s
     v = object.__new__(ExtendedRational)
@@ -472,21 +485,7 @@ def _map_coprime(m: MobiusMap, p: int, q: int) -> ExtendedRational:
 def mobius_apply(m: MobiusMap, x: ExtendedRational) -> ExtendedRational:
     """Function form of MobiusMap.apply."""
     _check_type("the map", MobiusMap, m)
-    _check_type("the slope", ExtendedRational, x)
     return m.apply(x)
-
-
-def _xgcd(a: int, b: int) -> tuple[int, int, int]:
-    """(g, u, v) with u*a + v*b = g = gcd(a, b)."""
-    old_r, r = a, b
-    old_u, u = 1, 0
-    old_v, v = 0, 1
-    while r:
-        qt = old_r // r
-        old_r, r = r, old_r - qt * r
-        old_u, u = u, old_u - qt * u
-        old_v, v = v, old_v - qt * v
-    return old_r, old_u, old_v
 
 
 def normalize_pair(
@@ -504,25 +503,37 @@ def normalize_pair(
     ('1/0', '0/1')
     """
     _check_type("each slope", ExtendedRational, x, y)
-    return _normalize_pair(x, y)
+    a, b, c, d, p, q = _normal_form(x, y)
+    return _trusted(MobiusMap, d, -b, -c, a), _trusted(ExtendedRational, p, q)
 
 
-def _normalize_pair(
-    x: ExtendedRational, y: ExtendedRational
-) -> tuple[MobiusMap, ExtendedRational]:
-    """normalize_pair, for slopes the library holds."""
+def _normal_form(x: ExtendedRational, y: ExtendedRational) -> tuple[int, int, int, int, int, int]:
+    """normalize_pair as ints, for slopes the library holds: (a, b, c, d, p, q)
+    where p/q = m(y) and (a, b, c, d) are the entries of m's inverse, the
+    map that sends 1/0 to x and p/q to y.  No map and no slope is built.
+
+    m sends x = a/c to 1/0 by rows (u, v) and (-c, a), where u a + v c = 1
+    (the identity when x = 1/0), then translates by -floor(m(y)).  So its
+    inverse's first column is (a, c), and its second is (-v, u) plus that
+    floor times (a, c).  The translation makes m unique among maps of
+    determinant 1, so which cofactors u, v are taken does not show:
+    u = a^-1 mod c is taken, by the C-level pow.
+    """
     if x == y:
         raise DomainError("normalize_pair requires distinct slopes")
-    if x.is_infinity:
-        m = MobiusMap.identity()
+    a, c = x.p, x.q
+    if c:
+        u = pow(a, -1, c)
+        b, d = (u * a - 1) // c, u
+        # m(y) is finite, as m is a bijection and m(x) = 1/0
+        p, q = u * y.p - b * y.q, a * y.q - c * y.p
+        if q < 0:
+            p, q = -p, -q
     else:
-        g, u, v = _xgcd(x.p, x.q)
-        # g = 1 because x is canonical; rows (u, v) and (-q, p) are a basis.
-        m = _trusted(MobiusMap, u, v, -x.q, x.p)
-    # m(x) = 1/0 and m is a bijection, so m(y) is finite.
-    image = m.apply(y)
-    k = image.p // image.q
+        b, d, p, q = 0, 1, y.p, y.q
+    k = p // q
     if k:
-        m = MobiusMap.translation(-k).compose(m)
-        image = _trusted(ExtendedRational, image.p - k * image.q, image.q)
-    return m, image
+        b += k * a
+        d += k * c
+        p -= k * q
+    return a, b, c, d, p, q

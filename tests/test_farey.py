@@ -563,12 +563,22 @@ def test_only_drawings_vertices_and_edges_build_triangles(monkeypatch):
 # ---------------------------------------------------------------- enumeration
 
 def _reference_geodesics(x, y) -> list[tuple[ExtendedRational, ...]]:
-    """A second enumeration over the same skeleton: every vertex mapped
-    back by a validated reduce, paths walked backwards from the target as
-    tuples of the vertices' sort ranks, then sorted as rank tuples."""
+    """A second enumeration over the same skeleton, built from the public
+    normalize_pair, cf_expand and convergents: the distance to each node is
+    the shortest of its in-skeleton edges, every vertex is mapped back by a
+    validated reduce, paths are walked backwards from the target as tuples
+    of the vertices' sort ranks, then sorted as rank tuples."""
     if x == y:
         return [(x,)]
-    m, entries, conv, dist, _ = farey._skeleton(x, y)
+    m, image = normalize_pair(x, y)
+    entries = cf_expand(image).entries
+    conv = [(1, 0), (0, 1)] + [(c.p, c.q) for c in convergents(entries)]
+    dist = [0, 1]
+    for i, a in enumerate(entries, 2):
+        # c_{k-1} -- c_k is an edge; c_{k-2} -- c_k is one when a_k = 1, and
+        # two through their mediant when a_k = 2
+        routes = [dist[i - 1] + 1] + ([dist[i - 2] + a] if a <= 2 else [])
+        dist.append(min(routes))
     points = conv + [(p0 + p1, q0 + q1) for (p0, q0), (p1, q1) in zip(conv, conv[1:])]
     inv = m.inverse()
     vertices = [reduce(inv.a * p + inv.b * q, inv.c * p + inv.d * q) for p, q in points]
@@ -687,6 +697,28 @@ def test_a_set_past_sys_maxsize_reads_its_count_and_refuses_len(monkeypatch):
     assert (report.distance, report.strongly_keen) == (201, False)
 
 
+def test_repr_names_the_count_past_the_default_cap(monkeypatch):
+    def refused(*args):
+        raise AssertionError("walked")
+
+    monkeypatch.setattr(farey, "_follow", refused)
+    gs = all_geodesics(INFINITY, cf_eval([2] * 200), cap=10**60)
+    assert repr(gs) == (
+        f"GeodesicSet(source={INFINITY!r}, target={gs.target!r}, length=201, "
+        f"paths=<734544867157818093234908902110449296423351 paths>)"
+    )
+    monkeypatch.undo()
+    # at the cap the paths are printed, as for any value; one past it, the count
+    monkeypatch.setattr(farey, "DEFAULT_GEO_CAP", 2)
+    two = all_geodesics(INFINITY, cf_eval([2]), cap=10)
+    three = all_geodesics(INFINITY, cf_eval([2, 2]), cap=10)
+    assert (len(two), len(three)) == (2, 3)
+    assert repr(two) == repr(GeodesicSet(two.source, two.target, two.length, two.paths))
+    assert "FareyPath" in repr(two)
+    assert repr(three).endswith(", length=3, paths=<3 paths>)")
+    assert repr(GeodesicSet(three.source, three.target, three.length, three.paths)) == repr(three)
+
+
 def test_all_geodesics_walks_no_path(monkeypatch):
     def refused(*args):
         raise AssertionError("walked")
@@ -719,6 +751,34 @@ def test_geodesic_count_reads_no_convergent():
     finally:
         tracemalloc.stop()
     assert peak <= 4 * 2**20, peak
+
+
+def test_refused_geodesic_set_reads_no_convergent():
+    # about 10^356 geodesics, refused under the default cap on the count alone
+    rng = random.Random(8)
+    y = cf_eval([rng.choice((1, 3, 4)) for _ in range(20000)] + [3])
+    tracemalloc.start()
+    try:
+        with pytest.raises(EnumerationOverflow, match=r"^\d{300,} geodesics for 1/0 -> "):
+            all_geodesics(INFINITY, y)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * 2**20, peak
+
+
+def test_long_unique_geodesic_peaks_at_what_the_set_retains():
+    # one path of 20,001 vertices of up to 10,500 digits each: the set is the floor
+    y = cf_eval([3] * 20000)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        gs = all_geodesics(INFINITY, y)
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert gs.unique and gs.length == 20001
+    assert peak <= 1.25 * retained, (peak, retained)
 
 
 def test_enumeration_validates_no_vertex(monkeypatch):

@@ -200,6 +200,13 @@ LINK = fb.TwoBridgeLink(3, 1)
      "each rim must be tuple, got list"),
     (lambda: fb.Ladder(**_ladder_fields("3/10", pivots=lambda ps: ("0/1", *ps[1:]))),
      "each vertex must be ExtendedRational, got str"),
+    (lambda: fb.cf_eval(None), "entries must be a sequence, got NoneType"),
+    (lambda: fb.convergents(5), "entries must be a sequence, got int"),
+    (lambda: fb.ContinuedFraction(5), "entries must be a sequence, got int"),
+    (lambda: fb.make_strongly_keen_example(3, 5), "entries must be a sequence, got int"),
+    (lambda: fb.MobiusMap(1, 0, 0, 1).apply(None),
+     "the slope must be ExtendedRational, got NoneType"),
+    (lambda: fb.MobiusMap(1, 0, 0, 1).compose(None), "the map must be MobiusMap, got NoneType"),
 ], ids=["distance('1/2', INF)", "all_geodesics(INF, 3)", "is_unique_geodesic(INF, None)",
         "ladder(INF, (1, 3))", "spine(None)", "ladder_type(path)", "classify_02(5)",
         "classify_03([link])", "components(str)", "splitting_distance_02(slope)",
@@ -210,10 +217,22 @@ LINK = fb.TwoBridgeLink(3, 1)
         "render_ascii(None)", "render_svg(None)", "CompositeLink((3, 1))",
         "CompositeLink([link])", "FareyTriangle([v, v, v])", "FareyTriangle(str vertex)",
         "Ladder(runs=list)", "Ladder(pivots=list)", "Ladder(rims=list)", "Ladder(list rim)",
-        "Ladder(str pivot)"])
+        "Ladder(str pivot)", "cf_eval(None)", "convergents(5)", "ContinuedFraction(5)",
+        "make_strongly_keen_example(3, 5)", "MobiusMap.apply(None)", "MobiusMap.compose(None)"])
 def test_public_calls_and_constructors_refuse_wrong_types(call, message):
     with pytest.raises(DomainError, match=f"^{message}$"):
         call()
+
+
+@pytest.mark.parametrize("other", [3, None, "1/2", 0.5, (1, 0)],
+                         ids=["int", "None", "str", "float", "tuple"])
+def test_slopes_do_not_order_against_other_types(other):
+    # NotImplemented lets Python try the reflected comparison, then refuse
+    for compare in (INF.__lt__, INF.__le__, INF.__gt__, INF.__ge__):
+        assert compare(other) is NotImplemented
+    with pytest.raises(TypeError, match="not supported between instances"):
+        INF < other
+    assert INF != other
 
 
 @pytest.mark.parametrize("value, text", [
