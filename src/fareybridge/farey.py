@@ -21,9 +21,24 @@ whose denominator one pass over the entries runs up and whose numerator
 the determinant of the two gives, and runs the convergents down,
 c_{k-2} = c_k - a_k c_{k-1}, keeping only the last two.  It lists
 the steps out of each node that lie on a geodesic: each vertex on one is
-mapped back once, without a gcd, and no other vertex is.  The set keeps
-those steps, and its paths are listed from them in sorted order, in time
-linear in the output, only when they are first read.
+mapped back once, without a gcd, and no other vertex is, and each node's
+suffix count N(v), the number of geodesics from it to the target.  The
+set keeps those steps and counts, and its paths are listed from them in
+sorted order, in time linear in the output, only when they are first read.
+
+The rows are walked depth first (_follow).  A set of _BLOCK_GATE or more
+paths first lists the suffix rows of the nodes next to the target, taken
+back from the target while they hold at most _BLOCK_REFS refs together:
+node v's hold N(v) L(v), where L(v) is its distance to the target.  The
+walk stops at those nodes and emits prefix + suffix for each of their
+rows, a copy in C, so a branchy set costs about what copying its rows
+does.  The budget is a constant, so the listing costs at most that much
+whatever the set, and a long forced run next to the target is listed only
+that far: the walk stays linear in the output.  It is 256 refs: on sets
+of 34 to 2,584 paths, a smaller budget left more of the walk, and a larger
+one cost the smaller sets more than it saved.  The gate is a constant too:
+under about 20 paths the listing costs more than it saves, so a smaller
+set walks every path to the target and looks nothing up on the way.
 
 Vertex texts are made in the backward walk too, where each vertex is
 mapped back: each is formatted once, and the steps keep the text beside
@@ -104,6 +119,10 @@ GEO_CAP_ENV = "FAREY_GEO_CAP"
 # all_geodesics names vertices as it walks while they have at most this many
 # bits, where str of p and q costs about 1 us each, like mapping them back.
 _NAMED_BITS = 512
+# _follow lists the suffix rows next to the target, up to _BLOCK_REFS refs
+# together, for sets of at least _BLOCK_GATE paths.
+_BLOCK_REFS = 256
+_BLOCK_GATE = 20
 
 
 def _resolve_cap(explicit: int | None, env_name: str, default: int) -> int:
@@ -286,20 +305,30 @@ class GeodesicSet(_Frozen):
     """Every shortest path between two slopes, in deterministic order.
 
     A set that all_geodesics walked keeps its walk, (root, steps, t,
-    count), in _walk: steps[i] lists the steps out of skeleton node i that
-    lie on a geodesic, as (vertices the step adds, their texts, node it
-    reaches); root is the step into node 0 that adds the source; t is the
-    target's node and count the number of paths.  Its paths are walked on
-    first read and kept in _paths, and _rows() walks the paths' texts
-    afresh on each call, so output builds no path.  A set built from its
-    paths has them in _paths and _walk None.  A walked set's count and
-    uniqueness are read off its walk; len() refuses a count past
-    sys.maxsize, which it cannot return, and repr names a count past
-    DEFAULT_GEO_CAP instead of the paths.
+    count, counts), in _walk: steps[i] lists the steps out of skeleton
+    node i that lie on a geodesic, as (vertices the step adds, their texts,
+    node it reaches); root is the step into node 0 that adds the source; t
+    is the target's node and count the number of paths; counts[i] is node
+    i's suffix count, its number of geodesics to the target, 0 off them.
+    Its paths are walked on first read and kept in _paths, and _rows()
+    walks the paths' texts afresh on each call, so output builds no path;
+    both read whole suffix blocks next to the target once the set has
+    _BLOCK_GATE paths (_follow).  A set built from its paths has them in
+    _paths and _walk None.  A walked set's count and uniqueness are read
+    off its walk; len() refuses a count past sys.maxsize, which it cannot
+    return, and repr names a count past DEFAULT_GEO_CAP instead of the
+    paths.
+
+    == and hash read the pair and the length; a walked set holds every
+    geodesic of its pair, so two sets not yet listed are equal on those
+    alone, and any other two compare their paths too.  A walked set pickles
+    and copies as its pair, walked again under a cap of its count, so none
+    of these walks its paths.
     """
 
     __slots__ = ("source", "target", "length", "_paths", "_walk")
     _fields = ("source", "target", "length", "paths")
+    _compared = ("source", "target", "length")
 
     def __init__(
         self,
@@ -325,7 +354,7 @@ class GeodesicSet(_Frozen):
     @property
     def paths(self) -> tuple[FareyPath, ...]:
         if self._paths is None:
-            _set(self, "_paths", tuple(_follow(self._walk, 0, _path)))
+            _set(self, "_paths", tuple(map(_path, _follow(self._walk, 0))))
         return self._paths
 
     def _rows(self) -> list[list[str]]:
@@ -336,7 +365,7 @@ class GeodesicSet(_Frozen):
         walk = self._walk
         if walk is None or not walk[0][1]:
             return _name_paths(self.paths)
-        return _follow(walk, 1, list)
+        return _follow(walk, 1)
 
     @property
     def unique(self) -> bool:
@@ -356,6 +385,25 @@ class GeodesicSet(_Frozen):
 
     def __iter__(self):
         return iter(self.paths)
+
+    def __eq__(self, other):
+        """Equal pairs and lengths, then equal paths.  Two sets whose paths
+        are not listed yet were both walked, and each holds every geodesic
+        of its pair, so their paths are equal unread."""
+        if other.__class__ is not GeodesicSet:
+            return NotImplemented
+        if self._key(self) != other._key(other):
+            return False
+        return (self._paths is None and other._paths is None) or self.paths == other.paths
+
+    __hash__ = _Frozen.__hash__
+
+    def __reduce__(self):
+        """A walked set pickles and copies as its pair, walked again under
+        a cap of its own count; a set built from its paths as its fields."""
+        if self._walk is None:
+            return super().__reduce__()
+        return _rewalk, (self.source, self.target, self._walk[3])
 
     def __repr__(self) -> str:
         """The fields, as for any value; past DEFAULT_GEO_CAP paths, the
@@ -378,39 +426,83 @@ def _name_paths(paths: tuple[FareyPath, ...]) -> list[list[str]]:
     ]
 
 
-def _follow(walk, k: int, make) -> list:
-    """make(prefix) for each geodesic of walk, in sorted order, where prefix
-    lists item k of each step the path takes: 0 its vertices, 1 their texts.
+def _follow(walk, k: int) -> list[list]:
+    """Each geodesic of walk as a new list, in sorted order, of item k of
+    each step the path takes: 0 its vertices, 1 their texts.
 
-    One prefix is kept in place.  The steps out of a node add distinct
-    vertices, so taking them in order lists the paths sorted.  A forced run
-    is followed without branching, and each path is copied once, when it
-    reaches the target, so the paths share the steps' objects.  A node has
-    at most two steps, to the next node and the one after.  Forced steps
-    are not merged into longer ones: on a long forced run, such as [3]*k,
-    that would copy quadratically.
+    One prefix is kept in place and walked depth first.  The steps out of
+    a node add distinct vertices, so taking them in order lists the paths
+    sorted.  A node has at most two steps, to the next node and the one
+    after: a forced run is followed without branching, and a branch takes
+    its first step at once and pushes only its second.  A set of
+    _BLOCK_GATE or more paths first lists the suffix rows of the nodes
+    next to the target (_blocks); the walk stops at those nodes and emits
+    prefix + suffix for each of their rows, one C-level concatenation a
+    path.  A smaller set walks every path to the target and copies its
+    prefix there, looking nothing up on the way.  Either way each row is a
+    new list that shares the steps' objects.  Both constants are measured
+    (see the module docstring): the budget bounds the listing, so the walk
+    stays linear in the output, and under the gate the listing costs more
+    than it saves.
     """
-    root, steps, t, _ = walk
+    root, steps, t, count, counts = walk
+    nodes, blocks = steps, None
+    if count >= _BLOCK_GATE:
+        nodes, blocks = _blocks(steps, counts, t, k)
     out = []
     prefix: list = []
-    todo = [root]  # steps still to take
-    kept = [0]  # the length of the prefix each of them extends
-    while todo:
-        step = todo.pop()
-        del prefix[kept.pop():]
+    todo = []  # the second step of each branch taken, with the prefix length it extends
+    step = root
+    while True:
         prefix += step[k]
         i = step[2]
-        while len(steps[i]) == 1:
-            step, = steps[i]
+        node = nodes[i]
+        while len(node) == 1:
+            step = node[0]
             prefix += step[k]
             i = step[2]
+            node = nodes[i]
+        if node:
+            step, second = node
+            todo.append((second, len(prefix)))
+            continue
         if i == t:
-            out.append(make(prefix))
+            out.append(prefix[:])
         else:
-            first, second = steps[i]
-            todo += second, first
-            kept += len(prefix), len(prefix)
-    return out
+            out += map(prefix.__add__, blocks[i])
+        if not todo:
+            return out
+        step, kept = todo.pop()
+        del prefix[kept:]
+
+
+def _blocks(steps: list, counts: list[int], t: int, k: int) -> tuple[list, dict]:
+    """The suffix rows, item k of each step from a node to the target, of
+    the nodes next to the target, and the steps with those nodes cut off.
+
+    The nodes are taken from the target back, in index order, while the
+    rows listed so far hold at most _BLOCK_REFS refs together: node v's
+    rows hold N(v) L(v), its suffix count times its distance to the
+    target, and are its steps' items laid before the rows of the nodes
+    they reach.  So the memo costs at most _BLOCK_REFS refs whatever the
+    set, and a long forced run next to the target, such as [3]*k, is
+    listed only that far.  Steps reach the next node or the one after, so
+    every node past the first one left out is listed; in the steps
+    returned, those nodes have no steps, and the walk stops there.
+    """
+    blocks = {t: [[]]}
+    held = 0
+    j = t - 1
+    while j >= 0:
+        out = steps[j]
+        if out:
+            first = out[0]
+            held += counts[j] * (len(first[0]) + len(blocks[first[2]][0]))
+            if held > _BLOCK_REFS:
+                break
+            blocks[j] = [[*step[k], *row] for step in out for row in blocks[step[2]]]
+        j -= 1
+    return steps[: j + 1] + [()] * (t - j), blocks
 
 
 def _order(node_steps: list) -> None:
@@ -620,6 +712,9 @@ def _all_geodesics(x: ExtendedRational, y: ExtendedRational, cap: int | None) ->
     # reaches), in the order of the first vertex each adds.  A node is on
     # a geodesic when it has such a step, and only those nodes and their
     # mediants are mapped back and named, once.
+    # Each node's suffix count, the number of geodesics from it to the
+    # target, is summed in as its steps are listed: a node's count is
+    # complete once the two nodes after it are done.
     t = len(dist) - 1
     k0, k1 = 0, 1  # the denominators of conv[0] and conv[1]
     for e in entries:
@@ -627,24 +722,34 @@ def _all_geodesics(x: ExtendedRational, y: ExtendedRational, cap: int | None) ->
     sign = -1 if t % 2 else 1
     p0, q0, p1, q1 = (p * k0 - sign) // q, k0, p, q  # conv[j-1], conv[j]
     steps: list[list] = [[] for _ in dist]
+    counts = [0] * t + [1]
     for j in range(t, 0, -1):
         e = entries[j - 2] if j >= 2 else 0
-        if j == t or steps[j]:
+        n = counts[j]
+        if n:
             _order(steps[j])
             v = y if j == t else _map_coprime(a, b, c, d, p1, q1)
             said = (str(v),) if named else ()
             if dist[j - 1] + 1 == dist[j]:
                 steps[j - 1].append(((v,), said, j))
+                counts[j - 1] += n
             if e == 1 and dist[j - 2] + 1 == dist[j]:
                 steps[j - 2].append(((v,), said, j))
+                counts[j - 2] += n
             elif e == 2 and dist[j - 2] + 2 == dist[j]:
                 # the mediant conv[j-2] + conv[j-1] is conv[j] - conv[j-1]
                 w = _map_coprime(a, b, c, d, p1 - p0, q1 - q0)
                 steps[j - 2].append(((w, v), (str(w), *said) if named else (), j))
+                counts[j - 2] += n
         p0, q0, p1, q1 = p1 - e * p0, q1 - e * q0, p0, q0
     _order(steps[0])
     root = ((x,), (str(x),) if named else (), 0)
-    return _trusted(GeodesicSet, x, y, dist[-1], None, (root, steps, t, count))
+    return _trusted(GeodesicSet, x, y, dist[-1], None, (root, steps, t, count, counts))
+
+
+def _rewalk(x: ExtendedRational, y: ExtendedRational, count: int) -> GeodesicSet:
+    """A walked set, unpickled or copied: its pair walked again."""
+    return all_geodesics(x, y, cap=count)
 
 
 def is_unique_geodesic(x: ExtendedRational, y: ExtendedRational) -> bool:

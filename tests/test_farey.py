@@ -9,6 +9,7 @@ import random
 import time
 import tracemalloc
 from collections import deque
+from itertools import chain
 
 import pytest
 
@@ -634,7 +635,11 @@ def test_enumeration_matches_the_sorted_reference_on_branchy_slopes():
 
 def _walk_cases():
     """Every p/q with q <= 60 from 1/0, 200 seeded moved pairs, each both
-    ways, and one pair past _NAMED_BITS."""
+    ways, and one pair past _NAMED_BITS; then, from 1/0, expansions on both
+    sides of the row walk's gate and budget: [a] + [2]*k + [b] for k <= 18
+    (up to 6,765 paths), a forced run then branching, branching then a
+    forced run, [1]*40 + [2], and 40 seeded expansions of 1 to 40 entries
+    from 1 to 4 with at most 10,000 paths."""
     pairs = [(INFINITY, INFINITY)]
     pairs += [(INFINITY, reduce(p, q)) for q in range(1, 61) for p in range(q + 1)
               if math.gcd(p, q) == 1]
@@ -642,7 +647,17 @@ def _walk_cases():
         pairs += [(x, y), (y, x)]
     y = cf_eval([3] * 300 + [2] * 4 + [5])
     assert y.q.bit_length() > farey._NAMED_BITS
-    return pairs + [(INFINITY, y)]
+    pairs.append((INFINITY, y))
+    rng = random.Random(18)
+    shapes = [[rng.randint(3, 20)] + [2] * k + [rng.randint(3, 20)] for k in range(19)]
+    shapes += [[3] * k + [2] * j + [5] for k in (1, 5, 40) for j in (2, 5, 6, 8)]
+    shapes += [[2] * j + [3] * k for j in (4, 6, 9) for k in (1, 10, 40, 120)]
+    shapes.append([1] * 40 + [2])
+    while len(shapes) < 19 + 12 + 12 + 1 + 40:
+        entries = [rng.randint(1, 4) for _ in range(rng.randint(1, 40))]
+        if entries[-1] > 1 and farey._length_and_count(INFINITY, cf_eval(entries))[1] <= 10**4:
+            shapes.append(entries)
+    return pairs + [(INFINITY, cf_eval(entries)) for entries in shapes]
 
 
 def test_geodesic_set_keeps_its_walk():
@@ -656,7 +671,12 @@ def test_geodesic_set_keeps_its_walk():
         assert (gs._paths is None) is (x != y and gs._walk[0][1] != ()), (x, y)
         assert rows == again and rows is not again
         assert all(a is not b for a, b in zip(rows, again))
+        if gs._paths is None:
+            # a new list per row, sharing the strings the walk made
+            first, last = gs._walk[0][1][0], rows[0][-1]
+            assert all(r[0] is first and r[-1] is last for r in rows), (x, y)
         assert rows == [[str(v) for v in p.vertices] for p in gs.paths], (x, y)
+        assert [p.vertices for p in gs.paths] == _reference_geodesics(x, y), (x, y)
         assert (n, unique) == (len(gs.paths), len(gs.paths) == 1)
         built = GeodesicSet(gs.source, gs.target, gs.length, gs.paths)
         assert gs == built and hash(gs) == hash(built) and repr(gs) == repr(built)
@@ -664,6 +684,75 @@ def test_geodesic_set_keeps_its_walk():
         for w in (pickle.loads(pickle.dumps(gs)), copy.copy(gs), copy.deepcopy(gs)):
             assert type(w) is GeodesicSet and w == gs and hash(w) == hash(gs)
             assert repr(w) == repr(gs) and w._rows() == rows
+
+
+def test_suffix_counts_and_row_blocks():
+    # each node's suffix count is its number of geodesics to the target,
+    # and the rows listed next to the target hold at most the budget
+    shapes = ([5] + [2] * 20 + [7], [2] * 12, [2] * 6 + [3] * 400, [3] * 400 + [2] * 6 + [5],
+              [1] * 40 + [2])
+    for entries in shapes:
+        y = cf_eval(entries)
+        root, steps, t, count, counts = all_geodesics(INFINITY, y, cap=10**9)._walk
+        assert counts[0] == count and counts[t] == 1
+        assert all(c == sum(counts[s[2]] for s in out) for c, out in zip(counts[:t], steps))
+        for k in (0, 1):
+            nodes, blocks = farey._blocks(steps, counts, t, k)
+            assert len(nodes) == t + 1
+            assert sum(map(len, chain.from_iterable(blocks.values()))) <= farey._BLOCK_REFS
+            for i, rows in blocks.items():
+                assert len(rows) == counts[i] and nodes[i] == ()
+    # a long forced run next to the target is listed only as far as the budget
+    root, steps, t, count, counts = all_geodesics(INFINITY, cf_eval([2] * 6 + [3] * 3000))._walk
+    assert count >= farey._BLOCK_GATE and len(farey._blocks(steps, counts, t, 0)[1]) < 30
+
+
+def test_row_walk_does_the_same_on_both_sides_of_the_gate(monkeypatch):
+    sets = [all_geodesics(INFINITY, cf_eval(entries)) for entries in (
+        [5] + [2] * 12 + [7], [2] * 6 + [3] * 40, [3] * 40 + [2] * 6 + [5], [1] * 40 + [2])]
+    walked = [(farey._follow(gs._walk, 0), farey._follow(gs._walk, 1)) for gs in sets]
+    assert all(len(gs) >= farey._BLOCK_GATE for gs in sets)
+    monkeypatch.setattr(farey, "_BLOCK_GATE", 10**9)
+    assert walked == [(farey._follow(gs._walk, 0), farey._follow(gs._walk, 1)) for gs in sets]
+    monkeypatch.setattr(farey, "_BLOCK_GATE", 1)
+    monkeypatch.setattr(farey, "_BLOCK_REFS", 10**9)
+    assert walked == [(farey._follow(gs._walk, 0), farey._follow(gs._walk, 1)) for gs in sets]
+
+
+def test_rows_peak_at_what_they_retain():
+    gs = all_geodesics(INFINITY, cf_eval([5] + [2] * 20 + [7]))
+    gc.collect()
+    tracemalloc.start()
+    try:
+        rows = gs._rows()
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(rows) == 17711
+    assert peak <= 1.25 * retained, (peak, retained)
+
+
+def test_a_walked_set_compares_hashes_and_copies_as_its_pair(monkeypatch):
+    def refused(*args):
+        raise AssertionError("walked")
+
+    # about 7.3e41 paths: ==, hash, copy and pickle must not walk them
+    monkeypatch.setattr(farey, "_follow", refused)
+    monkeypatch.setenv(farey.GEO_CAP_ENV, "1")
+    y = cf_eval([2] * 200)
+    gs, again = (all_geodesics(INFINITY, y, cap=10**60) for _ in range(2))
+    assert gs == again and hash(gs) == hash(again) == hash((INFINITY, y, 201))
+    for w in (copy.copy(gs), pickle.loads(pickle.dumps(gs)), copy.deepcopy(gs)):
+        assert type(w) is GeodesicSet and w is not gs and w == gs and hash(w) == hash(gs)
+        assert w._walk[3] == gs._walk[3]
+    assert gs != all_geodesics(INFINITY, cf_eval([2] * 199), cap=10**60)
+    monkeypatch.undo()
+    # a set built from its paths compares them, also with a walked set
+    gs = all_geodesics(INFINITY, cf_eval([2] * 4))
+    some = GeodesicSet(gs.source, gs.target, gs.length, gs.paths[:3])
+    assert some != gs and gs != some and hash(some) == hash(gs)
+    assert GeodesicSet(gs.source, gs.target, gs.length, gs.paths) == gs
+    assert pickle.loads(pickle.dumps(some)) == some
 
 
 def test_enumeration_overflow_is_raised_before_any_walk(monkeypatch):

@@ -70,9 +70,9 @@ def test_equal_values_are_equal_and_hash_alike(case):
     a, b = cls(*fields.values()), cls(**fields)
     assert a == b and not a != b
     assert hash(a) == hash(b)
-    # The hash is the hash of the compared fields' tuple, so sets and dicts
-    # of values iterate in the same order as before.
-    compared = tuple(v for k, v in fields.items() if k != "geodesics")
+    # The hash is the hash of the compared fields' tuple (_compared, all the
+    # fields by default), so sets and dicts of values iterate in a fixed order.
+    compared = tuple(fields[k] for k in cls._compared or fields)
     assert hash(a) == hash(compared)
     assert a != cls(**other) and hash(a) != hash(cls(**other))
 
