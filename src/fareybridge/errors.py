@@ -4,6 +4,19 @@ Two families matter to callers: DomainError (bad input, CLI exit 1) and
 ResourceLimit (a configured cap was hit, CLI exit 2).
 """
 
+__all__ = [
+    "FareyBridgeError",
+    "DomainError",
+    "ResourceLimit",
+    "EmptyLadder",
+    "DegenerateLadder",
+    "SpineUndefined",
+    "OutOfBound",
+    "LadderTooLarge",
+    "EnumerationOverflow",
+    "OracleBudget",
+]
+
 
 class FareyBridgeError(Exception):
     """Base class for all errors raised by this package."""

@@ -191,14 +191,6 @@ class FareyPath(_Frozen):
             if not _is_adjacent(u, v):
                 raise DomainError(f"not an edge: {u} -- {v}")
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.vertices,) == (other.vertices,)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.vertices,))
-
     @property
     def length(self) -> int:
         """Edge count."""
@@ -266,11 +258,9 @@ class Ladder(_Frozen):
             triangles = []
             for k, (pivot, rim) in enumerate(zip(self.pivots, self.rims)):
                 label = "R" if k % 2 else "L"
-                for u, v in zip(rim, rim[1:]):  # _trusted inlined, as it runs once a triangle
-                    t = object.__new__(FareyTriangle)
-                    _set(t, "vertices", tuple(sorted((pivot, u, v), key=_sort_key)))
-                    _set(t, "label", label)
-                    triangles.append(t)
+                for u, v in zip(rim, rim[1:]):
+                    vertices = tuple(sorted((pivot, u, v), key=_sort_key))
+                    triangles.append(_trusted(FareyTriangle, vertices, label))
             _set(self, "_triangles", tuple(triangles))
         return self._triangles
 
@@ -320,10 +310,10 @@ class GeodesicSet(_Frozen):
     paths.
 
     == and hash read the pair and the length; a walked set holds every
-    geodesic of its pair, so two sets not yet listed are equal on those
-    alone, and any other two compare their paths too.  A walked set pickles
-    and copies as its pair, walked again under a cap of its count, so none
-    of these walks its paths.
+    geodesic of its pair, so two walked sets are equal on those alone,
+    listed or not, and any other two compare their paths too.  A walked
+    set pickles and copies as its pair, walked again under a cap of its
+    count, so none of these walks its paths.
     """
 
     __slots__ = ("source", "target", "length", "_paths", "_walk")
@@ -387,14 +377,13 @@ class GeodesicSet(_Frozen):
         return iter(self.paths)
 
     def __eq__(self, other):
-        """Equal pairs and lengths, then equal paths.  Two sets whose paths
-        are not listed yet were both walked, and each holds every geodesic
-        of its pair, so their paths are equal unread."""
+        """Equal pairs and lengths, then equal paths.  Two walked sets each
+        hold every geodesic of their pair, so their paths are equal unread."""
         if other.__class__ is not GeodesicSet:
             return NotImplemented
         if self._key(self) != other._key(other):
             return False
-        return (self._paths is None and other._paths is None) or self.paths == other.paths
+        return (self._walk is not None and other._walk is not None) or self.paths == other.paths
 
     __hash__ = _Frozen.__hash__
 
@@ -515,9 +504,7 @@ def _order(node_steps: list) -> None:
 
 
 def _path(vertices: list[ExtendedRational]) -> FareyPath:
-    path = object.__new__(FareyPath)  # _trusted inlined, as it runs once a path
-    _set(path, "vertices", tuple(vertices))
-    return path
+    return _trusted(FareyPath, tuple(vertices))
 
 
 def ladder(
@@ -550,7 +537,7 @@ def _ladder(x: ExtendedRational, y: ExtendedRational, vertex_cap: int | None) ->
     n_vertices = sum(entries) + 2
     if n_vertices > cap:
         raise LadderTooLarge(
-            f"ladder needs {_int_text(n_vertices)} vertices, cap is {cap}"
+            f"ladder needs {_int_text(n_vertices)} vertices, cap is {_int_text(cap)}"
         )
 
     # The convergents are mapped back once, into cv, which the fans share;
@@ -563,7 +550,7 @@ def _ladder(x: ExtendedRational, y: ExtendedRational, vertex_cap: int | None) ->
         (p0, q0), (p1, q1) = conv[i], conv[i + 1]
         mediants = [_map_coprime(a, b, c, d, p0 + j * p1, q0 + j * q1) for j in range(1, e)]
         rims.append((cv[i], *mediants, cv[i + 2]))
-    return _trusted(Ladder, x, y, entries, tuple(cv[1:-1]), tuple(rims), None)
+    return _trusted(Ladder, x, y, entries, tuple(cv[1:-1]), tuple(rims))
 
 
 def ladder_type(l: Ladder) -> tuple[int, ...]:
@@ -681,7 +668,7 @@ def _all_geodesics(x: ExtendedRational, y: ExtendedRational, cap: int | None) ->
     """all_geodesics, for slopes the library holds."""
     cap_value = _resolve_cap(cap, GEO_CAP_ENV, DEFAULT_GEO_CAP)
     if x == y:
-        return _trusted(GeodesicSet, x, y, 0, (_trusted(FareyPath, (x,)),), None)
+        return _trusted(GeodesicSet, x, y, 0, (_trusted(FareyPath, (x,)),))
     # The forward walk reads the entries of the image p/q and the distance
     # from 1/0 to each skeleton node conv[j] = c_{j-1}: conv[0] = 1/0,
     # conv[1] = 0/1, ..., conv[t] = p/q.  The count is checked before any

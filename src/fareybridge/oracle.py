@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from .errors import DomainError, EnumerationOverflow, OracleBudget, OutOfBound
 from .farey import DEFAULT_GEO_CAP, GEO_CAP_ENV, FareyPath, GeodesicSet, _resolve_cap
-from .rationals import ExtendedRational, _check_ints, _Frozen, _set
+from .rationals import ExtendedRational, _check_ints, _Frozen, _int_text, _set
 
 __all__ = [
     "UNREACHABLE",
@@ -88,7 +88,7 @@ class BoundedSubgraph(_Frozen):
         _set(self, "bound", bound)
         _check_ints("bound", bound)
         if bound < 1:
-            raise DomainError(f"bound must be >= 1, got {bound}")
+            raise DomainError(f"bound must be >= 1, got {_int_text(bound)}")
 
     def contains(self, v: ExtendedRational) -> bool:
         return abs(v.p) <= self.bound and v.q <= self.bound
@@ -172,7 +172,7 @@ def _next_cost(ball: _Ball) -> int:
 
 def _check_inside(sg: BoundedSubgraph, v: ExtendedRational) -> tuple[int, int]:
     if not sg.contains(v):
-        raise OutOfBound(f"{v} lies outside the bound {sg.bound}")
+        raise OutOfBound(f"{v} lies outside the bound {_int_text(sg.bound)}")
     return (v.p, v.q)
 
 
@@ -237,7 +237,8 @@ def stabilized_distance(
     while True:
         if bound > max_bound:
             raise OracleBudget(
-                f"stabilization would need bound {bound} > budget {max_bound}"
+                f"stabilization would need bound {_int_text(bound)} "
+                f"> budget {_int_text(max_bound)}"
             )
         values.append(bounded_distance(x, y, bound))
         if (
@@ -330,7 +331,7 @@ def bruteforce_geodesics(
     bx, by = _Ball(sg, xv), _Ball(sg, yv)
     length = _meet(bx, by)
     if length is None:
-        raise DomainError(f"{y} unreachable from {x} at bound {bound}")
+        raise DomainError(f"{y} unreachable from {x} at bound {_int_text(bound)}")
 
     levels, preds = _geodesic_dag(bx, by, length)
     counts = {xv: 1}
@@ -339,7 +340,8 @@ def bruteforce_geodesics(
             counts[v] = sum(counts[u] for u in preds[v])
     if counts[yv] > cap_value:
         raise EnumerationOverflow(
-            f"{counts[yv]} geodesics for {x} -> {y} at bound {bound}, cap is {cap_value}"
+            f"{_int_text(counts[yv])} geodesics for {x} -> {y} at bound {_int_text(bound)}, "
+            f"cap is {_int_text(cap_value)}"
         )
 
     raw: list[tuple[tuple[int, int], ...]] = []

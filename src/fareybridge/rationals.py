@@ -17,6 +17,7 @@ import math
 import re
 from collections.abc import Sequence
 from functools import total_ordering
+from itertools import zip_longest
 from operator import attrgetter
 
 from .errors import DomainError
@@ -91,8 +92,10 @@ def _getter(names: tuple[str, ...]):
 
 class _Frozen:
     """Base of the package's value types: immutable, equal and hashed by
-    their fields, printed as Name(field=value, ...), and pickled and copied
-    through the constructor, so a rebuilt value is validated like a new one.
+    their fields, printed as Name(field=value, ...) with ints exact at any
+    size, and pickled and copied through the constructor, so a rebuilt
+    value is validated like a new one.  These rules are written here only;
+    a subclass overrides one only where it means something else.
 
     A subclass lists its fields in __slots__, in constructor order, and sets
     them in its own __init__ with object.__setattr__.  == and hash read the
@@ -129,20 +132,32 @@ class _Frozen:
         return hash(self._key(self))
 
     def __repr__(self) -> str:
-        fields = ", ".join(f"{n}={v!r}" for n, v in zip(self.__match_args__, self._values(self)))
+        fields = ", ".join(
+            f"{n}={_repr_text(v)}" for n, v in zip(self.__match_args__, self._values(self))
+        )
         return f"{self.__class__.__qualname__}({fields})"
 
     def __reduce__(self):
         return self.__class__, self._values(self)
 
 
+def _repr_text(v) -> str:
+    """repr(v), with ints, also in tuples, printed past sys.int_max_str_digits."""
+    if type(v) is int:
+        return _int_text(v)
+    if type(v) is tuple:
+        return "(" + ", ".join(map(_repr_text, v)) + ("," if len(v) == 1 else "") + ")"
+    return repr(v)
+
+
 def _trusted(cls, *values):
     """An instance of a value type built without its __init__, so without
     validation, from its slots' values in __slots__ order, derived ones
-    included.  For values the library built from checked values, which hold
-    the type's invariants already."""
+    included; derived slots left off the end are None, as the constructor
+    leaves them.  For values the library built from checked values, which
+    hold the type's invariants already."""
     obj = object.__new__(cls)
-    for name, value in zip(cls.__slots__, values):
+    for name, value in zip_longest(cls.__slots__, values):
         _set(obj, name, value)
     return obj
 
@@ -196,20 +211,12 @@ class ExtendedRational(_Frozen):
         _set(self, "q", q)
         _check_ints("each of p, q", p, q)
         if q < 0:
-            raise DomainError(f"denominator must be non-negative: {p}/{q}")
+            raise DomainError(f"denominator must be non-negative: {_int_text(p)}/{_int_text(q)}")
         if q == 0:
             if p != 1:
-                raise DomainError(f"infinity must be written 1/0, got {p}/0")
+                raise DomainError(f"infinity must be written 1/0, got {_int_text(p)}/0")
         elif math.gcd(p, q) != 1:
-            raise DomainError(f"not in lowest terms: {p}/{q}")
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.p, self.q) == (other.p, other.q)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.p, self.q))
+            raise DomainError(f"not in lowest terms: {_int_text(p)}/{_int_text(q)}")
 
     @property
     def is_infinity(self) -> bool:
@@ -226,11 +233,10 @@ class ExtendedRational(_Frozen):
 
     def __lt__(self, other: "ExtendedRational") -> bool:
         # Cross-multiplication is valid because q, s >= 0; 1/0 sorts above
-        # every finite slope, giving a total order on the vertex set.
+        # every finite slope, giving a total order on the vertex set.  Equal
+        # slopes give equal products, so neither is below the other.
         if other.__class__ is not ExtendedRational:
             return NotImplemented
-        if self == other:
-            return False
         return self.p * other.q < other.p * self.q
 
     def floor(self) -> int:
@@ -419,15 +425,8 @@ class MobiusMap(_Frozen):
         _set(self, "d", d)
         _check_ints("each Mobius map entry", a, b, c, d)
         if a * d - b * c not in (1, -1):
+            a, b, c, d = map(_int_text, (a, b, c, d))
             raise DomainError(f"matrix [[{a},{b}],[{c},{d}]] is not unimodular")
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.a, self.b, self.c, self.d) == (other.a, other.b, other.c, other.d)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.a, self.b, self.c, self.d))
 
     @classmethod
     def identity(cls) -> "MobiusMap":

@@ -532,6 +532,12 @@ def test_entries_past_the_int_str_digit_limit():
         code, out, err = invoke(cmd, "1/0", "1/" + nines)
         assert (code, out) == (2, "")
         assert err.startswith(f"resource limit: ladder needs 1{'0' * 4999}1 vertices")
+        # a cap past the limit is printed in the refusal too
+        cap = "1" + "0" * 5000
+        code, out, err = invoke("--ladder-cap", cap, cmd, "1/0", "1/" + cap + "0")
+        assert (code, out) == (2, "")
+        assert err.startswith("resource limit:") and "Traceback" not in err
+        assert err.endswith(f"cap is {cap}\n")
 
 
 def test_integer_tokens_past_the_int_str_digit_limit():

@@ -755,6 +755,18 @@ def test_a_walked_set_compares_hashes_and_copies_as_its_pair(monkeypatch):
     assert pickle.loads(pickle.dumps(some)) == some
 
 
+def test_a_listed_walked_set_compares_unread_with_another_walked_set(monkeypatch):
+    def refused(*args):
+        raise AssertionError("walked")
+
+    y = cf_eval([3] + [2] * 14 + [5])
+    listed, unread = all_geodesics(INFINITY, y), all_geodesics(INFINITY, y)
+    assert len(listed.paths) == 987
+    monkeypatch.setattr(farey, "_follow", refused)
+    assert listed == unread and unread == listed
+    assert unread._paths is None
+
+
 def test_enumeration_overflow_is_raised_before_any_walk(monkeypatch):
     def refused(*args):
         raise AssertionError("walked or mapped back")

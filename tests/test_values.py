@@ -6,14 +6,20 @@ from __future__ import annotations
 
 import copy
 import pickle
+from unittest import mock
 
 import pytest
 
 import fareybridge as fb
-from fareybridge import render
+from fareybridge import oracle, render
 from fareybridge.errors import DomainError
-from fareybridge.oracle import BoundedSubgraph, bounded_distance, stabilized_distance
-from fareybridge.rationals import _trusted
+from fareybridge.oracle import (
+    BoundedSubgraph,
+    bounded_distance,
+    bruteforce_geodesics,
+    stabilized_distance,
+)
+from fareybridge.rationals import _int_text, _trusted
 
 sl = fb.parse_slope
 INF, ZERO = fb.INFINITY, fb.ZERO
@@ -270,6 +276,57 @@ def test_slopes_do_not_order_against_other_types(other):
 ], ids=IDS[:-2] + ["SplittingReport-02", "SplittingReport-03", "BoundedSubgraph"])
 def test_repr(value, text):
     assert repr(value) == text
+
+
+# Past sys.int_max_str_digits (4,300 by default), where str(int) raises ValueError.
+BIG = 10**5000
+DIGITS = _int_text(BIG)
+# m = BIG // 4: 3/(3m + 2) and 1/m lie in the box of bound BIG at distance 2,
+# through their two common neighbors 2/(2m + 1) and 1/(m + 1).  Each of the
+# four has a denominator past BIG / 4, so a handful of neighbors in the box,
+# and the search stays small.
+M = BIG // 4
+
+
+def _unreachable_at_a_huge_bound():
+    with mock.patch.object(oracle, "_meet", lambda bx, by: None):
+        bruteforce_geodesics(INF, sl("1/2"), BIG)
+
+
+@pytest.mark.parametrize("call, error, shown", [
+    (lambda: fb.ExtendedRational(BIG, -1), DomainError, BIG),
+    (lambda: fb.ExtendedRational(BIG, 0), DomainError, BIG),
+    (lambda: fb.ExtendedRational(BIG, 10), DomainError, BIG),
+    (lambda: fb.MobiusMap(BIG, 0, 0, 1), DomainError, BIG),
+    (lambda: fb.ladder(INF, fb.reduce(1, 10 * BIG), vertex_cap=BIG), fb.LadderTooLarge, BIG),
+    (lambda: BoundedSubgraph(-BIG), DomainError, -BIG),
+    (lambda: bounded_distance(fb.reduce(1, 10 * BIG), ZERO, BIG), fb.OutOfBound, BIG),
+    (lambda: stabilized_distance(INF, fb.reduce(1, BIG)), fb.OracleBudget, 4 * BIG),
+    (_unreachable_at_a_huge_bound, DomainError, BIG),
+    (lambda: bruteforce_geodesics(fb.reduce(3, 3 * M + 2), fb.reduce(1, M), BIG, cap=1),
+     fb.EnumerationOverflow, BIG),
+], ids=["ExtendedRational(BIG, -1)", "ExtendedRational(BIG, 0)", "ExtendedRational(BIG, 10)",
+        "MobiusMap(BIG, 0, 0, 1)", "ladder(vertex_cap=BIG)", "BoundedSubgraph(-BIG)",
+        "bounded_distance(outside BIG)", "stabilized_distance(INF, 1/BIG)",
+        "bruteforce_geodesics(unreachable)", "bruteforce_geodesics(cap=1)"])
+def test_errors_are_typed_and_exact_at_any_int_size(call, error, shown):
+    with pytest.raises(error) as info:
+        call()
+    assert _int_text(shown) in str(info.value)
+
+
+@pytest.mark.parametrize("text, want", [
+    (lambda: repr(fb.TwoBridgeLink(BIG + 1, 1)), f"TwoBridgeLink(q={DIGITS[:-1]}1, p=1)"),
+    (lambda: repr(fb.CompositeLink((fb.TwoBridgeLink(BIG + 1, 1),))),
+     f"CompositeLink(summands=(TwoBridgeLink(q={DIGITS[:-1]}1, p=1),))"),
+    (lambda: repr(fb.ContinuedFraction((BIG, 2))), f"ContinuedFraction(entries=({DIGITS}, 2))"),
+    (lambda: repr(fb.ContinuedFraction((BIG,))), f"ContinuedFraction(entries=({DIGITS},))"),
+    (lambda: repr(fb.MobiusMap(1, BIG, 0, 1)), f"MobiusMap(a=1, b={DIGITS}, c=0, d=1)"),
+    (lambda: str(fb.MobiusMap(1, BIG, 0, 1)), f"MobiusMap(a=1, b={DIGITS}, c=0, d=1)"),
+], ids=["repr(TwoBridgeLink)", "repr(CompositeLink)", "repr(ContinuedFraction)",
+        "repr(ContinuedFraction, one entry)", "repr(MobiusMap)", "str(MobiusMap)"])
+def test_reprs_are_exact_at_any_int_size(text, want):
+    assert text() == want
 
 
 def test_splitting_report_defaults_and_geodesics_left_out_of_equality():
