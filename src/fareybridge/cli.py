@@ -49,13 +49,15 @@ SCHEMA_VERSION = 1
 # ---------------------------------------------------------------- serialization
 
 def geodesic_set_to_jsonable(gs: GeodesicSet) -> dict:
-    # A walked set's rows come straight off its steps: no path is built for them.
+    # A walked set's rows come straight off its steps: no path is built for
+    # them.  len() refuses a count past sys.maxsize before any row is walked.
+    count = len(gs)
     return {
         "x": str(gs.source),
         "y": str(gs.target),
         "distance": gs.length,
-        "unique": gs.unique,
-        "count": len(gs),
+        "unique": count == 1,
+        "count": count,
         "geodesics": gs._rows(),
     }
 
@@ -107,10 +109,12 @@ def report_to_jsonable(r: bridge.SplittingReport) -> dict:
         "exact": r.exact,
         "note": r.note,
     }
-    if r.geodesics is not None:
-        out["geodesics"] = geodesic_set_to_jsonable(r.geodesics)["geodesics"]
-        out["geodesics_x"] = str(r.geodesics.source)
-        out["geodesics_y"] = str(r.geodesics.target)
+    gs = r.geodesics
+    if gs is not None:
+        len(gs)  # refuses a count past sys.maxsize before any row is walked
+        out["geodesics"] = gs._rows()
+        out["geodesics_x"] = str(gs.source)
+        out["geodesics_y"] = str(gs.target)
     return out
 
 

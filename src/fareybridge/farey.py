@@ -18,13 +18,18 @@ the entries off Euclid one at a time and keeps them with each node's
 distance, and the count; the cap is checked against the count before any
 convergent is made.  The backward walk starts from c_n = p/q and c_{n-1},
 whose denominator one pass over the entries runs up and whose numerator
-the determinant of the two gives, and runs the convergents down,
-c_{k-2} = c_k - a_k c_{k-1}, keeping only the last two.  It lists
-the steps out of each node that lie on a geodesic: each vertex on one is
-mapped back once, without a gcd, and no other vertex is, and each node's
-suffix count N(v), the number of geodesics from it to the target.  The
-set keeps those steps and counts, and its paths are listed from them in
-sorted order, in time linear in the output, only when they are first read.
+the determinant of the two gives, maps those two back, and runs the
+images down, c_{k-2} = c_k - a_k c_{k-1}, keeping only the last two: the
+inverse map is linear, so the recurrence holds for the images too, and a
+vertex on a geodesic only has its sign fixed, without a gcd.  It lists
+the steps out of each node that lie on a geodesic, and each node's
+suffix count N(v), the number of geodesics from it to the target.  A
+vertex is held as the int pair (p, q) of its slope, one tuple a vertex,
+which the steps that add it share; the walk calls no helper per node and
+makes no slope.  The set keeps those steps and counts.  Its paths are
+listed from them in sorted order, in time linear in the output, only when
+they are first read: then one ExtendedRational is made per distinct pair,
+the set's own source and target at the ends (GeodesicSet.paths).
 
 The rows are walked depth first (_follow).  A set of _BLOCK_GATE or more
 paths first lists the suffix rows of the nodes next to the target, taken
@@ -33,23 +38,27 @@ node v's hold N(v) L(v), where L(v) is its distance to the target.  The
 walk stops at those nodes and emits prefix + suffix for each of their
 rows, a copy in C, so a branchy set costs about what copying its rows
 does.  The budget is a constant, so the listing costs at most that much
-whatever the set, and a long forced run next to the target is listed only
-that far: the walk stays linear in the output.  It is 256 refs: on sets
-of 34 to 2,584 paths, a smaller budget left more of the walk, and a larger
-one cost the smaller sets more than it saved.  The gate is a constant too:
-under about 20 paths the listing costs more than it saves, so a smaller
-set walks every path to the target and looks nothing up on the way.
+whatever the set.  It is 256 refs: on sets of 34 to 2,584 paths, a
+smaller budget left more of the walk, and a larger one cost the smaller
+sets more than it saved.  Above those nodes, a forced run (nodes of one
+step each) that a branch enters is listed the first time the walk
+crosses it, and later paths cross it in one list concatenation (_run):
+so a long forced run costs its length once a set, not once a path, and a
+set with no such run lists nothing.  The gate is a constant too: under
+about 20 paths the listing costs more than it saves, so a smaller set
+walks every path to the target and looks nothing up on the way.
 
-Vertex texts are made in the backward walk too, where each vertex is
-mapped back: each is formatted once, and the steps keep the text beside
-the vertex.  Output walks the rows straight off the texts
-(GeodesicSet._rows), one new list per path sharing the strings, and
-builds no path.  Vertices past _NAMED_BITS, where str costs time
-quadratic in the digits, are not named there, and a set built by the
-public constructor, as the JSON reader and the oracle build theirs, has
-no steps: their rows are made from their paths when output, each
-distinct vertex object formatted once (_name_paths), so nothing is
-formatted for a set that is never output.
+Vertex texts are made in the backward walk too, from the ints of each
+pair, once a vertex, and the steps keep them beside the pairs.  Output
+walks the rows straight off the texts (GeodesicSet._rows), one new list
+per path sharing the strings, and builds no path and no slope.  Vertices
+past _NAMED_BITS, where str costs time quadratic in the digits, are not
+named in the walk: the first output names each distinct pair once and the
+set keeps the texts in its walk, so nothing is formatted for a set that
+is never output, and nothing twice.  A set built by the public
+constructor, as the JSON reader and the oracle build theirs, has no
+steps: its rows are made from its paths, each distinct vertex object
+formatted once (_name_paths).
 
 Ladders lay down n fans of triangles, fan i with a_i triangles around its
 pivot c_{i-1}; its rim walks the intermediate mediants from the previous
@@ -58,16 +67,19 @@ A ladder keeps only its fans (pivots and rims); its triangles are derived
 from them when they are first read, which only the SVG drawing and
 edges() do.  Every geodesic lies in the ladder; distance builds one
 only for its cap, and so builds no triangle.
-The values built here are built unchecked (rationals._trusted), and the
-rationals they are built from are read with the unchecked cores (_det,
-_is_adjacent, _normal_form, _quotients) behind the public names.
+The values built here are built unchecked (rationals._trusted; a walked
+set and its paths directly, and their slopes by rationals._slope, as they
+are built once a set, a path or a vertex), and the rationals they are
+built from are read with the unchecked cores (_det, _is_adjacent,
+_normal_form, _quotients) behind the public names.
 """
 
 from __future__ import annotations
 
 import os
 import sys
-from itertools import chain
+from collections.abc import Iterable
+from itertools import chain, starmap
 
 from .errors import (
     DegenerateLadder,
@@ -92,6 +104,8 @@ from .rationals import (
     _parse_int,
     _quotients,
     _set,
+    _slope,
+    _slope_text,
     _trusted,
 )
 
@@ -297,17 +311,25 @@ class GeodesicSet(_Frozen):
     A set that all_geodesics walked keeps its walk, (root, steps, t,
     count, counts), in _walk: steps[i] lists the steps out of skeleton
     node i that lie on a geodesic, as (vertices the step adds, their texts,
-    node it reaches); root is the step into node 0 that adds the source; t
-    is the target's node and count the number of paths; counts[i] is node
-    i's suffix count, its number of geodesics to the target, 0 off them.
-    Its paths are walked on first read and kept in _paths, and _rows()
-    walks the paths' texts afresh on each call, so output builds no path;
-    both read whole suffix blocks next to the target once the set has
-    _BLOCK_GATE paths (_follow).  A set built from its paths has them in
-    _paths and _walk None.  A walked set's count and uniqueness are read
-    off its walk; len() refuses a count past sys.maxsize, which it cannot
-    return, and repr names a count past DEFAULT_GEO_CAP instead of the
-    paths.
+    node it reaches), each vertex an int pair (p, q) shared by the steps
+    that add it; root is the step into node 0 that adds the source; t is
+    the target's node and count the number of paths; counts[i] is node i's
+    suffix count, its number of geodesics to the target, 0 off them.  The
+    texts are empty past _NAMED_BITS until the first _rows() call makes
+    them, once a vertex, and keeps them in _walk.  The walk holds no
+    slope: paths, on first read, makes one per distinct pair (_Slopes),
+    with the set's own source and target at the ends, and keeps the paths
+    in _paths.  For one path it makes a slope of each pair on the path's
+    row; under _BLOCK_GATE paths it maps each row of pairs; from there on
+    it maps the steps and walks those, so that the rows copy the slopes in
+    C.  _rows() walks the texts afresh on each call, so output builds no
+    path and no slope.  Both walks read whole suffix blocks next to the
+    target, and cross each forced run above them once a set, once the set
+    has _BLOCK_GATE paths (_follow).  A set built from its paths has them
+    in _paths and _walk None.  A walked set's count and uniqueness are
+    read off its walk; len() refuses a count past sys.maxsize, which it
+    cannot return, and repr names a count past DEFAULT_GEO_CAP instead of
+    the paths.
 
     == and hash read the pair and the length; a walked set holds every
     geodesic of its pair, so two walked sets are equal on those alone,
@@ -343,18 +365,34 @@ class GeodesicSet(_Frozen):
 
     @property
     def paths(self) -> tuple[FareyPath, ...]:
+        """Walked on first read: one slope per distinct vertex, the set's
+        own source and target at the ends, shared by the paths."""
         if self._paths is None:
-            _set(self, "_paths", tuple(map(_path, _follow(self._walk, 0))))
+            walk, x, y = self._walk, self.source, self.target
+            if walk[3] == 1:  # one path: no vertex repeats
+                row = _follow(walk, 0)[0]
+                paths = [_path((x, *starmap(_slope, row[1:-1]), y))]
+            else:
+                get = _Slopes({(x.p, x.q): x, (y.p, y.q): y}).__getitem__
+                if walk[3] < _BLOCK_GATE:  # few rows: each is mapped
+                    paths = [_path(map(get, row)) for row in _follow(walk, 0)]
+                else:  # many rows: the steps are mapped, then walked
+                    paths = [*map(_path, _follow(_mapped(walk, get), 1))]
+            _set(self, "_paths", tuple(paths))
         return self._paths
 
     def _rows(self) -> list[list[str]]:
         """Each path's vertices as text, in a new list per path, walked off
-        the steps' texts.  A set built from its paths, or walked past
-        _NAMED_BITS, has no texts there: its rows are made from its paths,
-        each distinct vertex object formatted once."""
+        the steps' texts.  A set walked past _NAMED_BITS names its vertices
+        on the first call, each distinct one once, and keeps the texts in
+        its walk; a set built from its paths makes its rows from them, each
+        distinct vertex object formatted once."""
         walk = self._walk
-        if walk is None or not walk[0][1]:
+        if walk is None:
             return _name_paths(self.paths)
+        if not walk[0][1]:
+            walk = _mapped(walk, _Texts().__getitem__)
+            _set(self, "_walk", walk)
         return _follow(walk, 1)
 
     @property
@@ -415,9 +453,43 @@ def _name_paths(paths: tuple[FareyPath, ...]) -> list[list[str]]:
     ]
 
 
+class _Slopes(dict):
+    """Maps an int pair (p, q) to its slope, made on its first lookup."""
+
+    __slots__ = ()
+
+    def __missing__(self, pair):
+        made = self[pair] = _slope(*pair)
+        return made
+
+
+class _Texts(dict):
+    """Maps an int pair (p, q) to its text, made on its first lookup."""
+
+    __slots__ = ()
+
+    def __missing__(self, pair):
+        made = self[pair] = _slope_text(*pair)
+        return made
+
+
+def _mapped(walk, get):
+    """walk with item 1 of each step, its texts, replaced by get of each
+    vertex the step adds: a walk whose rows, _follow(..., 1), hold those."""
+    root, steps, t, count, counts = walk
+    return (
+        (root[0], tuple(map(get, root[0])), root[2]),
+        [[(vs, tuple(map(get, vs)), j) for vs, _, j in node] for node in steps],
+        t,
+        count,
+        counts,
+    )
+
+
 def _follow(walk, k: int) -> list[list]:
     """Each geodesic of walk as a new list, in sorted order, of item k of
-    each step the path takes: 0 its vertices, 1 their texts.
+    each step the path takes: 0 its vertices, the int pairs, or 1 their
+    texts.  GeodesicSet.paths maps the pair rows to slopes.
 
     One prefix is kept in place and walked depth first.  The steps out of
     a node add distinct vertices, so taking them in order lists the paths
@@ -427,24 +499,25 @@ def _follow(walk, k: int) -> list[list]:
     _BLOCK_GATE or more paths first lists the suffix rows of the nodes
     next to the target (_blocks); the walk stops at those nodes and emits
     prefix + suffix for each of their rows, one C-level concatenation a
-    path.  A smaller set walks every path to the target and copies its
-    prefix there, looking nothing up on the way.  Either way each row is a
-    new list that shares the steps' objects.  Both constants are measured
-    (see the module docstring): the budget bounds the listing, so the walk
-    stays linear in the output, and under the gate the listing costs more
-    than it saves.
+    path.  Such a set also lists each forced run that a branch enters the
+    first time the walk crosses it (_run), so later paths cross it in one
+    concatenation too.  A smaller set walks every path to the target and
+    copies its prefix there, looking nothing up on the way.  Either way
+    each row is a new list that shares the steps' objects.  Both constants
+    are measured (see the module docstring): the budget bounds the
+    listing, so the walk stays linear in the output, and under the gate
+    the listing costs more than it saves.
     """
     root, steps, t, count, counts = walk
-    nodes, blocks = steps, None
+    nodes, blocks, runs = steps, None, None
     if count >= _BLOCK_GATE:
         nodes, blocks = _blocks(steps, counts, t, k)
+        runs = {}
     out = []
-    prefix: list = []
+    prefix = [*root[k]]
+    i = root[2]
     todo = []  # the second step of each branch taken, with the prefix length it extends
-    step = root
     while True:
-        prefix += step[k]
-        i = step[2]
         node = nodes[i]
         while len(node) == 1:
             step = node[0]
@@ -454,15 +527,44 @@ def _follow(walk, k: int) -> list[list]:
         if node:
             step, second = node
             todo.append((second, len(prefix)))
-            continue
-        if i == t:
-            out.append(prefix[:])
         else:
-            out += map(prefix.__add__, blocks[i])
-        if not todo:
-            return out
-        step, kept = todo.pop()
-        del prefix[kept:]
+            if i == t:
+                out.append(prefix[:])
+            else:
+                out += map(prefix.__add__, blocks[i])
+            if not todo:
+                return out
+            step, kept = todo.pop()
+            del prefix[kept:]
+        # a step out of a branch: the forced run it enters is listed once
+        prefix += step[k]
+        i = step[2]
+        if runs is not None and len(nodes[i]) == 1:
+            if i not in runs:
+                _run(nodes, i, k, runs)
+            run, offset, i = runs[i]
+            prefix += run[offset:]
+
+
+def _run(nodes: list, i: int, k: int, runs: dict) -> None:
+    """List the forced run from node i, nodes of one step each, in runs:
+    the items k of its steps in one list, to the node where it ends, a
+    branch, a blocked node or the target.  Each node crossed maps to
+    (list, offset of its items, end), so a step that enters the run
+    further on takes the list from there, and a run that joins one listed
+    before takes that one's rest: each step is read once a set.
+    """
+    run, crossed = [], []
+    while len(nodes[i]) == 1 and i not in runs:
+        crossed.append((i, len(run)))
+        step = nodes[i][0]
+        run += step[k]
+        i = step[2]
+    if i in runs:
+        rest, offset, i = runs[i]
+        run += rest[offset:]
+    for node, offset in crossed:
+        runs[node] = run, offset, i
 
 
 def _blocks(steps: list, counts: list[int], t: int, k: int) -> tuple[list, dict]:
@@ -475,9 +577,10 @@ def _blocks(steps: list, counts: list[int], t: int, k: int) -> tuple[list, dict]
     target, and are its steps' items laid before the rows of the nodes
     they reach.  So the memo costs at most _BLOCK_REFS refs whatever the
     set, and a long forced run next to the target, such as [3]*k, is
-    listed only that far.  Steps reach the next node or the one after, so
-    every node past the first one left out is listed; in the steps
-    returned, those nodes have no steps, and the walk stops there.
+    listed only that far; the walk lists the rest of it once (_run).  Steps
+    reach the next node or the one after, so every node past the first one
+    left out is listed; in the steps returned, those nodes have no steps,
+    and the walk stops there.
     """
     blocks = {t: [[]]}
     held = 0
@@ -494,17 +597,13 @@ def _blocks(steps: list, counts: list[int], t: int, k: int) -> tuple[list, dict]
     return steps[: j + 1] + [()] * (t - j), blocks
 
 
-def _order(node_steps: list) -> None:
-    """Put a node's steps, at most two, in the order of the first vertex
-    each adds, by (p, q)."""
-    if len(node_steps) == 2:
-        u, w = node_steps[0][0][0], node_steps[1][0][0]
-        if (w.p, w.q) < (u.p, u.q):
-            node_steps.reverse()
-
-
-def _path(vertices: list[ExtendedRational]) -> FareyPath:
-    return _trusted(FareyPath, tuple(vertices))
+def _path(vertices: Iterable[ExtendedRational]) -> FareyPath:
+    """A walked path, built unchecked; not through _trusted, whose call and
+    loop over the slots cost about as much again (0.65 against 0.30 us a
+    path on CPython 3.11), once a path."""
+    path = object.__new__(FareyPath)
+    _set(path, "vertices", tuple(vertices))
+    return path
 
 
 def ladder(
@@ -590,7 +689,7 @@ def distance(
         return 0
     if _is_adjacent(x, y):
         return 1
-    return list(_geodesic_counts(_ladder(x, y, cap).runs))[-1][0]
+    return _geodesic_counts(_ladder(x, y, cap).runs)[0][-1]
 
 
 def _ladder_box(x: ExtendedRational, y: ExtendedRational, limit: int) -> int:
@@ -615,12 +714,15 @@ def _ladder_box(x: ExtendedRational, y: ExtendedRational, limit: int) -> int:
     return bound
 
 
-def _geodesic_counts(entries):
-    """(distance from 1/0 to c_k, number of geodesics realizing it) for
-    k = 1, ..., n, one at a time, from (0, 1) at c_{-1} and (1, 1) at c_0.
-    A skip past a_k = 2 through the pivot is the two steps already counted,
+def _geodesic_counts(entries) -> tuple[list[int], int]:
+    """The distance from 1/0 to each skeleton node c_{-1} = 1/0, c_0 = 0/1,
+    c_1, ..., c_n, and the number of geodesics from 1/0 to c_n, read off
+    the entries in one pass, from (0, 1) at c_{-1} and (1, 1) at c_0.  A
+    skip past a_k = 2 through the pivot is the two steps already counted,
     so only the mediant route adds to it.
     """
+    dist = [0, 1]
+    keep = dist.append
     d0, n0, d1, n1 = 0, 1, 1, 1
     for a in entries:
         d, n = d1 + 1, n1
@@ -631,7 +733,8 @@ def _geodesic_counts(entries):
             elif skip == d:
                 n += n0
         d0, n0, d1, n1 = d1, n1, d, n
-        yield d, n
+        keep(d)
+    return dist, n1
 
 
 def _length_and_count(x: ExtendedRational, y: ExtendedRational) -> tuple[int, int]:
@@ -639,11 +742,8 @@ def _length_and_count(x: ExtendedRational, y: ExtendedRational) -> tuple[int, in
     off the expansion one entry at a time; no convergent is built."""
     if x == y:
         return 0, 1
-    p, q = _normal_form(x, y)[4:]
-    d, n = 1, 1  # at c_0 = 0/1, which is the image when x, y are adjacent
-    for d, n in _geodesic_counts(_quotients(p, q)):
-        pass
-    return d, n
+    dist, count = _geodesic_counts(_quotients(*_normal_form(x, y)[4:]))
+    return dist[-1], count
 
 
 def all_geodesics(
@@ -675,19 +775,16 @@ def _all_geodesics(x: ExtendedRational, y: ExtendedRational, cap: int | None) ->
     # convergent is made.
     a, b, c, d, p, q = _normal_form(x, y)
     entries = [*_quotients(p, q)]
-    dist = [0, 1]
-    count = 1  # at 0/1, which is the image when x, y are adjacent
-    for length, count in _geodesic_counts(entries):
-        dist.append(length)
+    dist, count = _geodesic_counts(entries)
     if count > cap_value:
         raise EnumerationOverflow(
             f"{_int_text(count)} geodesics for {x} -> {y}, cap is {_int_text(cap_value)}"
         )
-    # Each vertex on a geodesic is named here, once, while that costs about
-    # what mapping it back does.  A vertex has at most one bit more than
-    # the inverse map's largest entry and the target's convergent together;
-    # past _NAMED_BITS, str grows quadratic in the digits, and the texts are
-    # left to the set's paths.
+    # Each vertex on a geodesic is named here, once, from its ints, while
+    # that costs about a microsecond.  A vertex has at most one
+    # bit more than the inverse map's largest entry and the target's
+    # convergent together; past _NAMED_BITS, str grows quadratic in the
+    # digits, and the texts are left to the first output (GeodesicSet._rows).
     named = max(map(abs, (a, b, c, d))).bit_length() + q.bit_length() <= _NAMED_BITS
 
     # The backward walk runs the convergents down from the last two,
@@ -696,9 +793,10 @@ def _all_geodesics(x: ExtendedRational, y: ExtendedRational, cap: int | None) ->
     # denominators up to k: on long expansions that costs a third of what
     # pow(p, -1, q) does.  The walk lists the steps out of each node that
     # lie on a geodesic, as (vertices the step adds, their texts, node it
-    # reaches), in the order of the first vertex each adds.  A node is on
-    # a geodesic when it has such a step, and only those nodes and their
-    # mediants are mapped back and named, once.
+    # reaches), in the order of the first vertex each adds.  A vertex is
+    # the int pair (p, q) of its slope: a node is on a geodesic when it has
+    # such a step, and only those nodes and their mediants have their sign
+    # fixed and are named, once, and shared by the steps that add them.
     # Each node's suffix count, the number of geodesics from it to the
     # target, is summed in as its steps are listed: a node's count is
     # complete once the two nodes after it are done.
@@ -706,32 +804,51 @@ def _all_geodesics(x: ExtendedRational, y: ExtendedRational, cap: int | None) ->
     k0, k1 = 0, 1  # the denominators of conv[0] and conv[1]
     for e in entries:
         k0, k1 = k1, e * k1 + k0
-    sign = -1 if t % 2 else 1
-    p0, q0, p1, q1 = (p * k0 - sign) // q, k0, p, q  # conv[j-1], conv[j]
+    h = (p * k0 - (-1 if t % 2 else 1)) // q
+    # conv[j-1] and conv[j], mapped back as vectors: the map is linear, so
+    # the recurrence runs on them as on the convergents
+    p0, q0, p1, q1 = a * h + b * k0, c * h + d * k0, a * p + b * q, c * p + d * q
     steps: list[list] = [[] for _ in dist]
     counts = [0] * t + [1]
     for j in range(t, 0, -1):
         e = entries[j - 2] if j >= 2 else 0
         n = counts[j]
         if n:
-            _order(steps[j])
-            v = y if j == t else _map_coprime(a, b, c, d, p1, q1)
-            said = (str(v),) if named else ()
+            # unimodular, so coprime: only the sign is fixed
+            r, s = p1, q1
+            if s < 0 or (s == 0 and r < 0):
+                r, s = -r, -s
+            v = (r, s)
+            # the texts are _slope_text's, written out: no call per vertex,
+            # and under _NAMED_BITS no int passes sys.int_max_str_digits
+            vs, said = (v,), (f"{r}/{s}",) if named else ()
             if dist[j - 1] + 1 == dist[j]:
-                steps[j - 1].append(((v,), said, j))
+                steps[j - 1].append((vs, said, j))
                 counts[j - 1] += n
             if e == 1 and dist[j - 2] + 1 == dist[j]:
-                steps[j - 2].append(((v,), said, j))
+                steps[j - 2].append((vs, said, j))
                 counts[j - 2] += n
             elif e == 2 and dist[j - 2] + 2 == dist[j]:
                 # the mediant conv[j-2] + conv[j-1] is conv[j] - conv[j-1]
-                w = _map_coprime(a, b, c, d, p1 - p0, q1 - q0)
-                steps[j - 2].append(((w, v), (str(w), *said) if named else (), j))
+                r, s = p1 - p0, q1 - q0
+                if s < 0 or (s == 0 and r < 0):
+                    r, s = -r, -s
+                steps[j - 2].append((((r, s), v), (f"{r}/{s}", *said) if named else (), j))
                 counts[j - 2] += n
+        # node j-1's steps are all listed now: put them in order, by the
+        # first vertex each adds, comparing the pairs
+        node = steps[j - 1]
+        if len(node) == 2 and node[1][0][0] < node[0][0][0]:
+            node.reverse()
         p0, q0, p1, q1 = p1 - e * p0, q1 - e * q0, p0, q0
-    _order(steps[0])
-    root = ((x,), (str(x),) if named else (), 0)
-    return _trusted(GeodesicSet, x, y, dist[-1], None, (root, steps, t, count, counts))
+    root = (((x.p, x.q),), (_slope_text(x.p, x.q),) if named else (), 0)
+    gs = object.__new__(GeodesicSet)
+    _set(gs, "source", x)
+    _set(gs, "target", y)
+    _set(gs, "length", dist[-1])
+    _set(gs, "_paths", None)
+    _set(gs, "_walk", (root, steps, t, count, counts))
+    return gs
 
 
 def _rewalk(x: ExtendedRational, y: ExtendedRational, count: int) -> GeodesicSet:

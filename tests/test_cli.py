@@ -206,15 +206,21 @@ def test_geodesic_set_formats_each_distinct_vertex_once(monkeypatch):
         return real_str(self)
 
     # counted from the walk through the output: the walk names each vertex
+    # from its ints, so no slope is formatted but "x" and "y"
     monkeypatch.setattr(ExtendedRational, "__str__", counting_str)
     gs = farey.all_geodesics(x, y)
     doc = geodesic_set_to_jsonable(gs)
+    again = gs._rows()
     monkeypatch.undo()
+    assert calls == 2
     distinct = {v for p in gs.paths for v in p.vertices}
     assert len(gs.paths) == 55 and len(distinct) == 20
-    assert calls == len(distinct) + 2  # and once each for "x" and "y"
-    # the paths share their texts, one string per distinct vertex
-    assert len({id(s) for t in gs._rows() for s in t}) == len(distinct)
+    # the rows share their texts, one string object per distinct vertex,
+    # made once: each later output reads the same objects
+    texts = {id(s): s for t in doc["geodesics"] for s in t}
+    assert sorted(texts.values()) == sorted(map(str, distinct))
+    assert again == doc["geodesics"]
+    assert {id(s) for t in again for s in t} == texts.keys()
     # read back, no two paths share a vertex object, and the output is the same
     back = geodesic_set_from_jsonable(doc)
     assert len({id(v) for p in back.paths for v in p.vertices}) == sum(
@@ -235,14 +241,31 @@ def test_geodesic_sets_past_the_named_bits_are_formatted_on_first_read(monkeypat
         calls += 1
         return real_str(self)
 
+    formatted = 0
+    real_slope_text = farey._slope_text
+
+    def counting_slope_text(p, q):
+        nonlocal formatted
+        formatted += 1
+        return real_slope_text(p, q)
+
+    # the vertices are named on the first output, each distinct one once,
+    # and the texts are kept: a second output formats nothing
     monkeypatch.setattr(ExtendedRational, "__str__", counting_str)
+    monkeypatch.setattr(farey, "_slope_text", counting_slope_text)
     gs = farey.all_geodesics(INFINITY, y)
-    assert calls == 0
+    assert (calls, formatted) == (0, 0)
     doc = geodesic_set_to_jsonable(gs)
+    first = (calls, formatted)
+    again = gs._rows()
     monkeypatch.undo()
+    assert gs._paths is None
     distinct = {v for p in gs.paths for v in p.vertices}
-    assert len(gs.paths) == 8 and calls == len(distinct) + 2
-    assert len({id(s) for t in gs._rows() for s in t}) == len(distinct)
+    assert len(gs.paths) == 8 and first == (2, len(distinct))
+    assert (calls, formatted) == first
+    assert again == doc["geodesics"] and again is not doc["geodesics"]
+    assert len({id(s) for t in again for s in t}) == len(distinct)
+    assert {id(s) for t in again for s in t} == {id(s) for t in doc["geodesics"] for s in t}
     assert doc["geodesics"] == [[str(v) for v in p.vertices] for p in gs.paths]
 
 
@@ -449,10 +472,12 @@ def test_resource_limits_exit_2(monkeypatch):
 
     monkeypatch.setattr(farey, "_follow", refused)
     y = str(cf_eval([2] * 200))
+    q, p = str(cf_eval([2] * 200).q), str(cf_eval([2] * 200).p)
     for flags in ((), ("--json",)):
-        code, out, err = invoke(*flags, "--geo-cap", str(10**60), "geodesics", "1/0", y)
-        assert (code, out) == (2, "")
-        assert err.startswith("resource limit: 7345448671") and "Traceback" not in err
+        for argv in (("geodesics", "1/0", y), ("classify-2bridge", q, p)):
+            code, out, err = invoke(*flags, "--geo-cap", str(10**60), *argv)
+            assert (code, out) == (2, ""), argv
+            assert err.startswith("resource limit: 7345448671") and "Traceback" not in err
 
 
 def test_geodesics_of_a_long_expansion():
@@ -732,13 +757,15 @@ def test_oracle_budget_comes_after_the_link_and_before_the_caps():
 
 
 def test_oracle_checks_what_is_printed(monkeypatch):
-    real = cli.geodesic_set_to_jsonable
+    real = farey.GeodesicSet._rows
 
     def reversed_rows(gs):
-        doc = real(gs)
-        return dict(doc, geodesics=doc["geodesics"][::-1])
+        # the command's walked set prints its rows reversed; the oracle's,
+        # built from its paths, does not
+        rows = real(gs)
+        return rows[::-1] if gs._walk is not None else rows
 
-    monkeypatch.setattr(cli, "geodesic_set_to_jsonable", reversed_rows)
+    monkeypatch.setattr(farey.GeodesicSet, "_rows", reversed_rows)
     for argv in (("geodesics", "1/0", "1/2"), ("classify-2bridge", "182", "79")):
         for flags in (("--oracle",), ("--oracle", "--json")):
             code, out, err = invoke(*flags, *argv)

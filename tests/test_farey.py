@@ -664,11 +664,11 @@ def test_geodesic_set_keeps_its_walk():
     for x, y in _walk_cases():
         gs = all_geodesics(x, y)
         n, unique = len(gs), gs.unique
-        # the count and uniqueness are read off the walk, and so are the
-        # rows while the walk names its vertices
+        # the count, uniqueness and rows are read off the walk, which names
+        # its vertices, past _NAMED_BITS on the first output
         assert (gs._paths is None) is (x != y), (x, y)
         rows, again = gs._rows(), gs._rows()
-        assert (gs._paths is None) is (x != y and gs._walk[0][1] != ()), (x, y)
+        assert (gs._paths is None) is (x != y), (x, y)
         assert rows == again and rows is not again
         assert all(a is not b for a, b in zip(rows, again))
         if gs._paths is None:
@@ -684,6 +684,114 @@ def test_geodesic_set_keeps_its_walk():
         for w in (pickle.loads(pickle.dumps(gs)), copy.copy(gs), copy.deepcopy(gs)):
             assert type(w) is GeodesicSet and w == gs and hash(w) == hash(gs)
             assert repr(w) == repr(gs) and w._rows() == rows
+
+
+def _slope_count() -> int:
+    return sum(type(o) is ExtendedRational for o in gc.get_objects())
+
+
+def test_walked_paths_share_one_slope_per_vertex(monkeypatch):
+    made = 0
+    real_slope = farey._slope
+
+    def counting_slope(p, q):
+        nonlocal made
+        made += 1
+        return real_slope(p, q)
+
+    def refused(*args):
+        raise AssertionError("slope made by the walk")
+
+    monkeypatch.setattr(farey, "_slope", counting_slope)
+    monkeypatch.setattr(farey, "_map_coprime", refused)
+    for x, y in _walk_cases():
+        made = 0
+        gs = all_geodesics(x, y)
+        # the walk, its count and its rows make no slope
+        gs._rows(), len(gs), gs.unique
+        assert made == 0, (x, y)
+        paths = gs.paths
+        assert [p.vertices for p in paths] == _reference_geodesics(x, y), (x, y)
+        assert all(p.vertices[0] is x and p.vertices[-1] is y for p in paths), (x, y)
+        # one object per distinct vertex, shared by the paths
+        objects = {id(v): v for p in paths for v in p.vertices}
+        assert len(objects) == len(set(objects.values())), (x, y)
+        assert made == len(objects) - len({x, y}) if x != y else made == 0, (x, y)
+        assert gs.paths is paths
+    # no slope is made anywhere before paths are read, also past _NAMED_BITS
+    monkeypatch.undo()
+    m = MobiusMap(123, 47, 34, 13)
+    gs = paths = objects = None
+    for x, y in ((m.apply(INFINITY), m.apply(cf_eval([5] + [2] * 8 + [7]))),
+                 (INFINITY, cf_eval([3] * 300 + [2] * 4 + [5]))):
+        gc.collect()
+        gc.disable()
+        try:
+            before = _slope_count()
+            gs = all_geodesics(x, y)
+            gs._rows()
+            assert _slope_count() == before
+            distinct = {v for p in gs.paths for v in p}
+            assert _slope_count() == before + len(distinct) - 2
+            gs = distinct = None
+        finally:
+            gc.enable()
+
+
+def test_row_walk_crosses_each_forced_run_once():
+    # 55 paths branch over [2]*8, then all run forced through [3]*250 to the
+    # target: the rows read each step of the run once, not once a path
+    reads = {}
+
+    class Counted(tuple):
+        def __iter__(self):
+            reads[id(self)] += 1
+            return super().__iter__()
+
+    gs = all_geodesics(INFINITY, cf_eval([2] * 8 + [3] * 250))
+    root, steps, t, count, counts = gs._walk
+    rows = gs._rows()
+    assert (count, t, len(rows[0])) == (55, 259, 260) and root[1]
+    forced = [i for i, out in enumerate(steps) if len(out) == 1 and i > 20]
+    assert len(forced) > 200
+    for i in forced:
+        (items, texts, j), = steps[i]
+        steps[i] = [(items, Counted(texts), j)]
+        reads[id(steps[i][0][1])] = 0
+    assert gs._rows() == rows
+    assert set(reads.values()) == {1}
+
+
+@pytest.mark.parametrize("branches", [
+    {0: (1, 2), 1: (2, 3)},  # node 1 enters the run from node 2 at node 3
+    {0: (1, 2), 1: (3,)},  # the run from node 2 joins the one from node 1
+])
+def test_row_walk_reads_a_forced_run_once_wherever_a_branch_enters_it(branches):
+    # a synthetic walk: node i steps to i + 1, or to the nodes in branches
+    t = 80
+    reads = {}
+
+    class Counted(tuple):
+        def __iter__(self):
+            reads[id(self)] += 1
+            return super().__iter__()
+
+    steps = [[] for _ in range(t + 1)]
+    for i in range(t):
+        for j in branches.get(i, (i + 1,)):
+            items = Counted(((i, j),))
+            steps[i].append((items, items, j))
+            reads[id(items)] = 0
+    counts = [0] * t + [1]
+    for i in range(t - 1, -1, -1):
+        counts[i] = sum(counts[j] for _, _, j in steps[i])
+    root = (("root",), ("root",), 0)
+    rows = farey._follow((root, steps, t, counts[0], counts), 0)
+    assert len(rows) == counts[0] < farey._BLOCK_GATE
+    reads.update((id(step[0]), 0) for out in steps for step in out)
+    gated = farey._follow((root, steps, t, farey._BLOCK_GATE, counts), 0)
+    assert gated == rows
+    assert set(reads.values()) == {1}
 
 
 def test_suffix_counts_and_row_blocks():
