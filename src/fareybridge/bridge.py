@@ -158,6 +158,13 @@ class SplittingReport(_Frozen):
         values = (subject, splitting, distance, case, keen, strongly_keen, exact, note, geodesics)
         for name, value in zip(self.__slots__, values):
             _set(self, name, value)
+        _check_type("each of subject, splitting, case, note", str, subject, splitting, case, note)
+        _check_ints("distance", distance)
+        _check_type("exact", bool, exact)
+        verdicts = [v for v in (keen, strongly_keen) if v is not None]
+        _check_type("each of keen, strongly_keen", bool, *verdicts)
+        if geodesics is not None:
+            _check_type("geodesics", GeodesicSet, geodesics)
         if splitting not in ("02", "03"):
             raise DomainError(f"splitting must be 02 or 03, got {splitting!r}")
         if case not in ("02", "0", "i", "ii", "iii"):
@@ -245,6 +252,10 @@ def make_strongly_keen_example(
 ) -> TwoBridgeLink:
     """A 2-bridge link whose (0,2)-splitting has distance n, n >= 2, and a
     unique geodesic: slope [a1, ..., a_{n-1}] with every entry >= 3.
+
+    n = 1 is realized by S(1, 0), the trivial knot, whose splitting
+    classify_02 reports at distance 1 and strongly keen; this construction
+    starts at n = 2, and refuses n = 1 with a DomainError.
 
     Default entries are all 3s: n = 2 gives S(3,1), n = 3 gives S(10,3).
     Raises ResourceLimit when n - 1 default entries do not fit in memory.

@@ -27,6 +27,7 @@ from .rationals import (
     INFINITY,
     ExtendedRational,
     _cf_expand,
+    _check_type,
     _int_text,
     _parse_int,
     cf_eval,
@@ -51,6 +52,7 @@ SCHEMA_VERSION = 1
 def geodesic_set_to_jsonable(gs: GeodesicSet) -> dict:
     # A walked set's rows come straight off its steps: no path is built for
     # them.  len() refuses a count past sys.maxsize before any row is walked.
+    _check_type("the geodesic set", GeodesicSet, gs)
     count = len(gs)
     return {
         "x": str(gs.source),
@@ -99,6 +101,7 @@ def geodesic_set_from_jsonable(d: dict) -> GeodesicSet:
 
 
 def report_to_jsonable(r: bridge.SplittingReport) -> dict:
+    _check_type("the report", bridge.SplittingReport, r)
     out = {
         "subject": r.subject,
         "splitting": r.splitting,

@@ -63,15 +63,20 @@ formatted once (_name_paths).
 Ladders lay down n fans of triangles, fan i with a_i triangles around its
 pivot c_{i-1}; its rim walks the intermediate mediants from the previous
 pivot to the next, so the L/R run lengths are (a1, ..., an), first run L.
+Its rims are walked by addition: each fan maps its two skeleton vectors,
+c_{i-2} and its pivot c_{i-1}, back once as unnormalized ints, and adds
+the pivot's image to reach each next mediant, so a mediant only has its
+sign fixed (rationals._signed_slope) and is not mapped back on its own.
 A ladder keeps only its fans (pivots and rims); its triangles are derived
 from them when they are first read, which only the SVG drawing and
 edges() do.  Every geodesic lies in the ladder; distance builds one
 only for its cap, and so builds no triangle.
 The values built here are built unchecked (rationals._trusted; a walked
-set and its paths directly, and their slopes by rationals._slope, as they
-are built once a set, a path or a vertex), and the rationals they are
-built from are read with the unchecked cores (_det, _is_adjacent,
-_normal_form, _quotients) behind the public names.
+set and its paths directly, and their slopes and a ladder's vertices by
+rationals._slope and _signed_slope, as they are built once a set, a path
+or a vertex), and the rationals they are built from are read with the
+unchecked cores (_det, _is_adjacent, _normal_form, _quotients) behind the
+public names.
 """
 
 from __future__ import annotations
@@ -104,6 +109,7 @@ from .rationals import (
     _parse_int,
     _quotients,
     _set,
+    _signed_slope,
     _slope,
     _slope_text,
     _trusted,
@@ -351,6 +357,7 @@ class GeodesicSet(_Frozen):
     ):
         for name, value in zip(self.__slots__, (source, target, length, paths, None)):
             _set(self, name, value)
+        _check_ints("length", length)
         _check_type("paths", tuple, paths)
         _check_type("each path", FareyPath, *paths)
         if not paths:
@@ -639,16 +646,26 @@ def _ladder(x: ExtendedRational, y: ExtendedRational, vertex_cap: int | None) ->
             f"ladder needs {_int_text(n_vertices)} vertices, cap is {_int_text(cap)}"
         )
 
-    # The convergents are mapped back once, into cv, which the fans share;
-    # each interior mediant lies on one fan only and is mapped there.  Fan i
-    # pivots around c_{i-1}, and its rim walks c_{i-2} + j*c_{i-1} up to c_i.
+    # Fan i pivots around c_{i-1}, and its rim walks c_{i-2} + j*c_{i-1} up
+    # to c_i.  The convergents are mapped back once, into cv, which the fans
+    # share.  A fan with mediants maps its two skeleton vectors, c_{i-2} and
+    # its pivot c_{i-1}, back once as unnormalized ints, and walks its rim by
+    # adding the pivot's image: the map is linear, and a unimodular image of
+    # a coprime pair is coprime, so each mediant only has its sign fixed.
     conv = [(1, 0), (0, 1), *_convergent_pairs(entries)]
     cv = [x, *[_map_coprime(a, b, c, d, r, s) for r, s in conv[1:-1]], y]
     rims = []
     for i, e in enumerate(entries):
-        (p0, q0), (p1, q1) = conv[i], conv[i + 1]
-        mediants = [_map_coprime(a, b, c, d, p0 + j * p1, q0 + j * q1) for j in range(1, e)]
-        rims.append((cv[i], *mediants, cv[i + 2]))
+        rim = [cv[i]]
+        if e > 1:
+            (p0, q0), (p1, q1) = conv[i], conv[i + 1]
+            r, s, dr, ds = a * p0 + b * q0, c * p0 + d * q0, a * p1 + b * q1, c * p1 + d * q1
+            for _ in range(1, e):
+                r += dr
+                s += ds
+                rim.append(_signed_slope(r, s))
+        rim.append(cv[i + 2])
+        rims.append(tuple(rim))
     return _trusted(Ladder, x, y, entries, tuple(cv[1:-1]), tuple(rims))
 
 

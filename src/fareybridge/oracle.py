@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from .errors import DomainError, EnumerationOverflow, OracleBudget, OutOfBound
 from .farey import DEFAULT_GEO_CAP, GEO_CAP_ENV, FareyPath, GeodesicSet, _resolve_cap
-from .rationals import ExtendedRational, _check_ints, _Frozen, _int_text, _set
+from .rationals import ExtendedRational, _check_ints, _check_type, _Frozen, _int_text, _set
 
 __all__ = [
     "UNREACHABLE",
@@ -91,6 +91,7 @@ class BoundedSubgraph(_Frozen):
             raise DomainError(f"bound must be >= 1, got {_int_text(bound)}")
 
     def contains(self, v: ExtendedRational) -> bool:
+        _check_type("the slope", ExtendedRational, v)
         return abs(v.p) <= self.bound and v.q <= self.bound
 
     def _adjacent(self, p: int, q: int):
@@ -122,9 +123,12 @@ class BoundedSubgraph(_Frozen):
         return tuple(sorted(ExtendedRational(r, s) for r, s in self._adjacent(*pq)))
 
     def distances_from(self, src: tuple[int, int]) -> dict[tuple[int, int], int]:
-        """BFS distance map over the whole bounded component of src: its
-        ball, grown until it is exhausted."""
-        ball = _Ball(self, src)
+        """BFS distance map over the whole bounded component of src, the
+        int pair (p, q) of an in-bound slope: its ball, grown until it is
+        exhausted."""
+        if type(src) is not tuple or len(src) != 2:
+            raise DomainError(f"src must be a pair (p, q), got {type(src).__name__}")
+        ball = _Ball(self, _check_inside(self, ExtendedRational(*src)))
         while not ball.exhausted:
             ball.grow()
         return ball.dist
@@ -171,6 +175,8 @@ def _next_cost(ball: _Ball) -> int:
 
 
 def _check_inside(sg: BoundedSubgraph, v: ExtendedRational) -> tuple[int, int]:
+    """v's int pair; DomainError unless v is a slope, OutOfBound unless it
+    lies in the box."""
     if not sg.contains(v):
         raise OutOfBound(f"{v} lies outside the bound {_int_text(sg.bound)}")
     return (v.p, v.q)
@@ -231,6 +237,7 @@ def stabilized_distance(
     the bound, so agreement across doublings is the stopping signal.  Raises
     OracleBudget before computing at any bound above max_bound.
     """
+    _check_type("each slope", ExtendedRational, x, y)
     _check_ints("max_bound", max_bound)
     bound = 4 * max(1, abs(x.p), x.q, abs(y.p), y.q)
     values: list = []

@@ -294,7 +294,7 @@ _set_p, _set_q = ExtendedRational.p.__set__, ExtendedRational.q.__set__
 def _slope(p: int, q: int) -> ExtendedRational:
     """The slope p/q of a canonical pair, built without validation: the
     one-slope case of _trusted, for the slopes made once a vertex (paths,
-    _map_coprime) or once a parse."""
+    _signed_slope) or once a parse."""
     v = object.__new__(ExtendedRational)
     _set_p(v, p)
     _set_q(v, q)
@@ -462,6 +462,7 @@ class MobiusMap(_Frozen):
     @classmethod
     def translation(cls, k: int) -> "MobiusMap":
         """x -> x + k; fixes 1/0."""
+        _check_ints("the translation", k)
         return _trusted(cls, 1, k, 0, 1)
 
     def apply(self, x: ExtendedRational) -> ExtendedRational:
@@ -499,7 +500,13 @@ def _map_coprime(a: int, b: int, c: int, d: int, p: int, q: int) -> ExtendedRati
     A unimodular map keeps a pair coprime, so only the sign is fixed and
     no gcd is taken.
     """
-    r, s = a * p + b * q, c * p + d * q
+    return _signed_slope(a * p + b * q, c * p + d * q)
+
+
+def _signed_slope(r: int, s: int) -> ExtendedRational:
+    """The slope of the coprime pair (r, s) or (-r, -s), whichever is
+    canonical, built without validation: the sign rule of every pair the
+    library maps back (_map_coprime, ladder rims)."""
     if s < 0 or (s == 0 and r < 0):
         r, s = -r, -s
     return _slope(r, s)

@@ -515,11 +515,48 @@ def _reference_triangles(x, y) -> tuple[FareyTriangle, ...]:
     return tuple(triangles)
 
 
+def _unimodular(rng: random.Random, digits: int) -> MobiusMap:
+    """A seeded unimodular map whose first column has entries of up to digits digits."""
+    while True:
+        a, c = rng.randrange(1, 10**digits), rng.randrange(1, 10**digits)
+        if math.gcd(a, c) == 1:
+            d = pow(a, -1, c)
+            return MobiusMap(a, (a * d - 1) // c, c, d)
+
+
+def _map_to_infinity(v: ExtendedRational, k: int) -> MobiusMap:
+    """A unimodular map that sends v to 1/0, then translates by k."""
+    u = pow(v.p, -1, v.q) if v.q > 1 else 1
+    b = (1 - u * v.p) // v.q
+    return MobiusMap(u - k * v.q, b + k * v.p, -v.q, v.p)
+
+
 def test_triangles_are_read_off_the_fans():
     rng = random.Random(14)
     pairs = _moved_pairs(1414, 150)
     pairs += [(INFINITY, cf_eval([rng.randint(1, 6) for _ in range(rng.randint(1, 12))] + [2]))
               for _ in range(150)]
+    # wide fans, up to about 5,000 triangles, under maps of 30 to 48 digits
+    for digits in (30, 36, 42, 48):
+        for entries in ([rng.randint(1000, 5000), rng.randint(2, 5)],
+                        [rng.randint(1, 4), rng.randint(2000, 5000), 1, rng.randint(2, 9)]):
+            m = _unimodular(rng, digits)
+            pairs.append((m.apply(INFINITY), m.apply(cf_eval(entries))))
+    # runs of 1s, alone and between wider entries
+    pairs += [(INFINITY, cf_eval([1] * k + [2])) for k in (1, 2, 7, 40)]
+    pairs += [(INFINITY, cf_eval([3] + [1] * k + [4, 1, 1, 2])) for k in (1, 5, 30)]
+    pairs += _moved_pairs(1415, 20, sizes=(30, 48))
+    # rims through 1/0, where a vertex's image is (-1, 0) before its sign is
+    # fixed: between two integers, and wherever a map sends a mediant to 1/0
+    through = [(reduce(-15, 1), reduce(-13, 1))]
+    for entries in ([5, 5, 3], [2, 7, 4], [1, 1, 6, 2]):
+        y = cf_eval(entries)
+        for v in chain.from_iterable(rim[1:-1] for rim in ladder(INFINITY, y).rims):
+            m = _map_to_infinity(v, rng.randint(-10**30, 10**30))
+            through.append((m.apply(INFINITY), m.apply(y)))
+    for x, y in through:
+        assert any(INFINITY in rim[1:-1] for rim in ladder(x, y).rims), (x, y)
+    pairs += through
     for x, y in pairs:
         l = ladder(x, y)
         assert l._triangles is None
