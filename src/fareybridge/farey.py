@@ -10,8 +10,8 @@ skeleton: c_{k-1} to c_k is an edge,
 c_{k-2} to c_k is an edge when a_k = 1 and two edges through the mediant
 c_{k-2} + c_{k-1} when a_k = 2, and a recurrence over them gives the
 distance and the geodesic count in O(n) steps.  The --oracle box
-(_ladder_box) is read off the convergents too, and stops once it passes the
-budget.
+(_ladder_box) is read off the images of the convergents, and stops once it
+passes the budget.
 
 all_geodesics makes two walks over the expansion.  The forward walk reads
 the entries off Euclid one at a time and keeps them with each node's
@@ -63,10 +63,10 @@ formatted once (_name_paths).
 Ladders lay down n fans of triangles, fan i with a_i triangles around its
 pivot c_{i-1}; its rim walks the intermediate mediants from the previous
 pivot to the next, so the L/R run lengths are (a1, ..., an), first run L.
-Its rims are walked by addition: each fan maps its two skeleton vectors,
-c_{i-2} and its pivot c_{i-1}, back once as unnormalized ints, and adds
-the pivot's image to reach each next mediant, so a mediant only has its
-sign fixed (rationals._signed_slope) and is not mapped back on its own.
+No vertex is mapped back: the map back is linear, so the images of the
+convergents keep their recurrence and are run up from its two columns
+(rationals._convergent_pairs); a pivot is an image with its sign fixed
+(rationals._signed_slope), and a rim adds its pivot's image, no product.
 A ladder keeps only its fans (pivots and rims); its triangles are derived
 from them when they are first read, which only the SVG drawing and
 edges() do.  Every geodesic lies in the ladder; distance builds one
@@ -104,7 +104,6 @@ from .rationals import (
     _Frozen,
     _int_text,
     _is_adjacent,
-    _map_coprime,
     _normal_form,
     _parse_int,
     _quotients,
@@ -647,19 +646,18 @@ def _ladder(x: ExtendedRational, y: ExtendedRational, vertex_cap: int | None) ->
         )
 
     # Fan i pivots around c_{i-1}, and its rim walks c_{i-2} + j*c_{i-1} up
-    # to c_i.  The convergents are mapped back once, into cv, which the fans
-    # share.  A fan with mediants maps its two skeleton vectors, c_{i-2} and
-    # its pivot c_{i-1}, back once as unnormalized ints, and walks its rim by
-    # adding the pivot's image: the map is linear, and a unimodular image of
-    # a coprime pair is coprime, so each mediant only has its sign fixed.
-    conv = [(1, 0), (0, 1), *_convergent_pairs(entries)]
-    cv = [x, *[_map_coprime(a, b, c, d, r, s) for r, s in conv[1:-1]], y]
+    # to c_i.  The map back is linear, so the images of the skeleton, ws, keep
+    # the convergents' recurrence from its columns, the images of 1/0 and
+    # 0/1: no vertex is mapped back and no fan takes a product.  The pivots
+    # are images with their signs fixed, and each rim adds its pivot's image:
+    # a unimodular image of a coprime pair is coprime, so no gcd is taken.
+    ws = [(a, c), (b, d), *_convergent_pairs(entries, a, b, c, d)]
+    cv = [x, *starmap(_signed_slope, ws[1:-1]), y]
     rims = []
     for i, e in enumerate(entries):
         rim = [cv[i]]
         if e > 1:
-            (p0, q0), (p1, q1) = conv[i], conv[i + 1]
-            r, s, dr, ds = a * p0 + b * q0, c * p0 + d * q0, a * p1 + b * q1, c * p1 + d * q1
+            (r, s), (dr, ds) = ws[i], ws[i + 1]
             for _ in range(1, e):
                 r += dr
                 s += ds
@@ -717,15 +715,15 @@ def _ladder_box(x: ExtendedRational, y: ExtendedRational, limit: int) -> int:
 
     The ladder's vertices are c_{k-2} + j*c_{k-1}, 0 <= j <= a_k, mapped back
     linearly, so their |p| and q are convex in j and peak at a convergent:
-    the box of x and the mapped-back convergents 0/1, c_1, ..., c_n holds
-    the ladder, and so every geodesic.
+    the box of x and the images of the convergents 0/1, c_1, ..., c_n, run up
+    by their own recurrence, holds the ladder, and so every geodesic.
     """
     bound = max(abs(x.p), x.q)
     if x == y or bound > limit:
         return bound
     a, b, c, d, p, q = _normal_form(x, y)
-    for r, s in chain(((0, 1),), _convergent_pairs(_quotients(p, q))):
-        bound = max(bound, abs(a * r + b * s), abs(c * r + d * s))
+    for r, s in chain(((b, d),), _convergent_pairs(_quotients(p, q), a, b, c, d)):
+        bound = max(bound, abs(r), abs(s))
         if bound > limit:
             break
     return bound

@@ -13,6 +13,13 @@ where the two meet, so it maps the neighborhoods of its two ends and not
 the whole box.  The balls belong to the query and are dropped when it
 returns: nothing is kept between queries.  Geodesics are walked off the
 two balls one layer at a time, without recursion.
+
+Work is bounded at any bound.  A query raises OracleBudget before it grows
+a layer that would read more than _WORK_BUDGET = 8 B^2 neighbors, for B =
+DEFAULT_ORACLE_BUDGET, and neighbors() for a vertex with more.  No layer
+of a box of at most B reads that many (at most 4m of its slopes have
+max(|p|, q) = m, each read at 2B // m), so only larger boxes are refused.
+distances_from(), which maps a whole component, refuses a box over B.
 """
 
 from __future__ import annotations
@@ -31,6 +38,8 @@ __all__ = [
 ]
 
 DEFAULT_ORACLE_BUDGET = 8192  # largest bound stabilized_distance or the CLI check may visit
+# neighbors one layer, or one neighbors() call, may read (module docstring)
+_WORK_BUDGET = 8 * DEFAULT_ORACLE_BUDGET**2
 
 
 class _Unreachable:
@@ -118,16 +127,29 @@ class BoundedSubgraph(_Frozen):
             yield r, s
 
     def neighbors(self, v: ExtendedRational) -> tuple[ExtendedRational, ...]:
-        """All in-bound slopes adjacent to v, in slope order."""
+        """All in-bound slopes adjacent to v, in slope order; OracleBudget
+        when v has more than the work budget of them (about 2N / max(|p|,
+        q), as in _next_cost)."""
         pq = _check_inside(self, v)
+        cost = 2 * self.bound // max(abs(v.p), v.q)
+        if cost > _WORK_BUDGET:
+            raise OracleBudget(
+                f"{v} has about {_int_text(cost)} neighbors at bound {_int_text(self.bound)}, "
+                f"more than the work budget {_int_text(_WORK_BUDGET)}"
+            )
         return tuple(sorted(ExtendedRational(r, s) for r, s in self._adjacent(*pq)))
 
     def distances_from(self, src: tuple[int, int]) -> dict[tuple[int, int], int]:
         """BFS distance map over the whole bounded component of src, the
         int pair (p, q) of an in-bound slope: its ball, grown until it is
-        exhausted."""
+        exhausted.  OracleBudget for a bound over DEFAULT_ORACLE_BUDGET."""
         if type(src) is not tuple or len(src) != 2:
             raise DomainError(f"src must be a pair (p, q), got {type(src).__name__}")
+        if self.bound > DEFAULT_ORACLE_BUDGET:
+            raise OracleBudget(
+                f"mapping a whole component at bound {_int_text(self.bound)} "
+                f"> budget {DEFAULT_ORACLE_BUDGET}"
+            )
         ball = _Ball(self, _check_inside(self, ExtendedRational(*src)))
         while not ball.exhausted:
             ball.grow()
@@ -192,13 +214,20 @@ def _meet(bx: _Ball, by: _Ball) -> int | None:
     Distinct sources share nothing, so each step grows the ball whose next
     layer is cheaper to discover, and only the new layer can meet the
     other ball.  The order of growth cannot change d, only the work done
-    to reach it.
+    to reach it.  OracleBudget, before the layer is grown, when even the
+    cheaper layer costs more than the work budget.
     """
     d = None
     while d is None:
         if bx.exhausted or by.exhausted:
             return None
-        ball, other = (bx, by.dist) if _next_cost(bx) <= _next_cost(by) else (by, bx.dist)
+        cx, cy = _next_cost(bx), _next_cost(by)
+        ball, other, cost = (bx, by.dist, cx) if cx <= cy else (by, bx.dist, cy)
+        if cost > _WORK_BUDGET:
+            raise OracleBudget(
+                f"the next BFS layer at bound {_int_text(bx.sg.bound)} would read about "
+                f"{_int_text(cost)} neighbors, more than the work budget {_int_text(_WORK_BUDGET)}"
+            )
         k = len(ball.layers)
         d = min((k + other[v] for v in ball.grow() if v in other), default=None)
     return d
@@ -235,7 +264,8 @@ def stabilized_distance(
 
     Bounded distances can only overshoot the true ones and are monotone in
     the bound, so agreement across doublings is the stopping signal.  Raises
-    OracleBudget before computing at any bound above max_bound.
+    OracleBudget before computing at any bound above max_bound, and, above
+    DEFAULT_ORACLE_BUDGET, where bounded_distance passes its work budget.
     """
     _check_type("each slope", ExtendedRational, x, y)
     _check_ints("max_bound", max_bound)

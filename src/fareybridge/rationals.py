@@ -431,10 +431,11 @@ def convergents(entries: ContinuedFraction | Sequence[int]) -> tuple[ExtendedRat
     return tuple(_trusted(ExtendedRational, p, q) for p, q in _convergent_pairs(es))
 
 
-def _convergent_pairs(entries):
-    """The convergents c_1, ..., c_n of [a1, ..., an] as integer pairs, one
-    at a time: c_k = a_k c_{k-1} + c_{k-2} from c_{-1} = 1/0, c_0 = 0/1."""
-    h0, k0, h1, k1 = 1, 0, 0, 1
+def _convergent_pairs(entries, a: int = 1, b: int = 0, c: int = 0, d: int = 1):
+    """The convergents c_1, ..., c_n of [a1, ..., an] as integer pairs, or
+    their images under the linear map (a, b, c, d), unnormalized, one at a
+    time: c_k = a_k c_{k-1} + c_{k-2} from c_{-1} = (a, c), c_0 = (b, d)."""
+    h0, k0, h1, k1 = a, c, b, d
     for a in entries:
         h0, k0, h1, k1 = h1, k1, a * h1 + h0, a * k1 + k0
         yield h1, k1
@@ -506,7 +507,7 @@ def _map_coprime(a: int, b: int, c: int, d: int, p: int, q: int) -> ExtendedRati
 def _signed_slope(r: int, s: int) -> ExtendedRational:
     """The slope of the coprime pair (r, s) or (-r, -s), whichever is
     canonical, built without validation: the sign rule of every pair the
-    library maps back (_map_coprime, ladder rims)."""
+    library maps back (_map_coprime, ladders)."""
     if s < 0 or (s == 0 and r < 0):
         r, s = -r, -s
     return _slope(r, s)

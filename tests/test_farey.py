@@ -14,6 +14,7 @@ from itertools import chain
 import pytest
 
 import fareybridge.farey as farey
+import fareybridge.rationals as rationals
 from fareybridge import cli
 from fareybridge.bridge import TwoBridgeLink, classify_02
 from fareybridge.errors import (
@@ -567,6 +568,36 @@ def test_triangles_are_read_off_the_fans():
             "LR"[k % 2] * a for k, a in enumerate(l.runs))
 
 
+def test_ladders_map_no_vertex_back(monkeypatch):
+    # a ladder's vertices, its distance and the --oracle box are run up by
+    # the convergents' own recurrence on the images of 1/0 and 0/1, so they
+    # answer, and the same, with rationals._map_coprime refused under every
+    # name it is imported by.  MobiusMap.apply and the references map pairs
+    # through it, so everything is built first.
+    def refused(*args):
+        raise AssertionError("mapped back")
+
+    pairs = _moved_pairs(2525, 200)
+    want = [(_reference_triangles(x, y), farey._length_and_count(x, y)[0]) for x, y in pairs]
+    small = _moved_pairs(2526, 200, sizes=(1, 2))
+
+    def oracle_run(x, y):
+        out = io.StringIO()
+        code = cli.run(["--oracle", "geodesics", "--", str(x), str(y)], out=out, err=out)
+        return code, out.getvalue()
+
+    # most are checked by the oracle, the rest refused on the box's size
+    checked = [oracle_run(x, y) for x, y in small]
+    assert all(code in (0, 2) for code, _ in checked)
+    assert sum(code == 0 for code, _ in checked) >= 100
+    monkeypatch.setattr(rationals._map_coprime, "__code__", refused.__code__)
+    for (x, y), (triangles, d) in zip(pairs, want):
+        l = ladder(x, y)
+        assert l.triangles == triangles, (x, y)
+        assert distance(x, y) == d, (x, y)
+    assert [oracle_run(x, y) for x, y in small] == checked
+
+
 def test_only_drawings_vertices_and_edges_build_triangles(monkeypatch):
     built = []
     real_ladder = farey._ladder
@@ -739,9 +770,11 @@ def test_walked_paths_share_one_slope_per_vertex(monkeypatch):
     def refused(*args):
         raise AssertionError("slope made by the walk")
 
+    # MobiusMap.apply makes the moved pairs through _map_coprime: built first
+    cases = list(_walk_cases())
     monkeypatch.setattr(farey, "_slope", counting_slope)
-    monkeypatch.setattr(farey, "_map_coprime", refused)
-    for x, y in _walk_cases():
+    monkeypatch.setattr(rationals, "_map_coprime", refused)
+    for x, y in cases:
         made = 0
         gs = all_geodesics(x, y)
         # the walk, its count and its rows make no slope
@@ -917,7 +950,7 @@ def test_enumeration_overflow_is_raised_before_any_walk(monkeypatch):
         raise AssertionError("walked or mapped back")
 
     monkeypatch.setattr(farey, "_follow", refused)
-    monkeypatch.setattr(farey, "_map_coprime", refused)
+    monkeypatch.setattr(rationals, "_map_coprime", refused)
     y = cf_eval([5] + [2] * 20 + [7])
     with pytest.raises(EnumerationOverflow):
         all_geodesics(INFINITY, y, cap=1000)

@@ -11,10 +11,10 @@ Answers are cross-checked where a second way to reach them exists.
 
 Each call stays well under a second.  Ladders are small or over their cap,
 and no vertex cap is huge; an oracle box is small, or its slope lies
-outside it, or it is over its budget; a huge int is drawn only where it
-cannot make a ladder, a walk or a box that large; at most one slope of a
-pair is huge; and no set of more than DEFAULT_GEO_CAP paths has its rows or
-paths read.
+outside it, or it is huge, where the oracle refuses any layer over its work
+budget; a huge int is drawn only where it cannot make a ladder or a walk
+that large; at most one slope of a pair is huge; and no set of more than
+DEFAULT_GEO_CAP paths has its rows or paths read.
 """
 
 from __future__ import annotations
@@ -35,6 +35,7 @@ HUGE = (10**20, 2**62, BIG, -BIG, -(10**40))
 WRONG = (None, True, False, 2.5, float("nan"), "1/2", "", [1, 2], [], (1, 2), (), {}, b"1/2",
          object(), 0, -3)
 READ_LIMIT = 1000  # paths read off an answer at most, far under DEFAULT_GEO_CAP
+HUGE_BOUNDS = (10**12, 10**30, BIG)
 
 
 def _map(rng: random.Random) -> MobiusMap:
@@ -194,8 +195,17 @@ def _calls(pools: Pools):
     def ints(rng, k):
         return [w(rng, pools, lambda: _int(rng)) for _ in range(k)]
 
-    def box_slope(rng):  # small, or outside any box drawn
+    def box_slope(rng):  # small, or outside any box drawn but the huge ones
         return w(rng, pools, lambda: _small_slope(rng) if rng.random() < 0.9 else _huge_slope(rng))
+
+    def bound(rng):  # small, or one time in five huge
+        return w(rng, pools, lambda: rng.choice(HUGE_BOUNDS) if rng.random() < 0.2
+                 else rng.randint(1, 60))
+
+    def box(rng):
+        if rng.random() < 0.2:
+            return oracle.BoundedSubgraph(rng.choice(HUGE_BOUNDS))
+        return rng.choice(pools.boxes)
 
     def any_set(rng):  # one time in ten, the set too large to read
         return pools.huge_set if rng.random() < 0.1 else rng.choice(pools.sets)
@@ -280,17 +290,17 @@ def _calls(pools: Pools):
         "BoundedSubgraph.contains": lambda rng: (lambda sg, v: sg.contains(v), [
             oracle.BoundedSubgraph(rng.choice((1, 5, 30, BIG))), slope(rng)], {}),
         "BoundedSubgraph.neighbors": lambda rng: (lambda sg, v: sg.neighbors(v), [
-            rng.choice(pools.boxes), box_slope(rng)], {}),
+            box(rng), box_slope(rng)], {}),
         "BoundedSubgraph.distances_from": lambda rng: (lambda sg, v: sg.distances_from(v), [
-            rng.choice(pools.boxes), w(rng, pools, lambda: rng.choice(
+            box(rng), w(rng, pools, lambda: rng.choice(
                 ((1, 0), (0, 1), (-1, 2), (2, 4), (1, 2, 3), (BIG, 1), (True, 1))))], {}),
         "bounded_distance": lambda rng: (oracle.bounded_distance, [
-            box_slope(rng), box_slope(rng), w(rng, pools, lambda: rng.randint(1, 60))], {}),
+            box_slope(rng), box_slope(rng), bound(rng)], {}),
         "stabilized_distance": lambda rng: (oracle.stabilized_distance, [
             box_slope(rng), box_slope(rng)], {} if rng.random() < 0.5 else {
             "max_bound": w(rng, pools, lambda: rng.choice((1, 100, 2000, -5)))}),
         "bruteforce_geodesics": lambda rng: (oracle.bruteforce_geodesics, [
-            box_slope(rng), box_slope(rng), w(rng, pools, lambda: rng.randint(1, 60))],
+            box_slope(rng), box_slope(rng), bound(rng)],
             {"cap": w(rng, pools, lambda: _geo_cap(rng))}),
         # the JSON helpers and the drawings
         "geodesic_set_to_jsonable": lambda rng: (cli.geodesic_set_to_jsonable, [
@@ -341,7 +351,7 @@ def _check_answer(name: str, args: list, value) -> None:
     elif name == "stabilized_distance":
         assert value == fb.distance(*args[:2])
     elif name == "bounded_distance" and value is not oracle.UNREACHABLE:
-        assert value >= fb.distance(*args[:2])
+        assert value >= farey._length_and_count(*args[:2])[0]
     elif name == "bruteforce_geodesics":
         x, y, bound = args
         if farey._ladder_box(x, y, bound) <= bound:
@@ -432,6 +442,9 @@ def test_seeded_library_fuzz():
     (lambda: len(fb.all_geodesics(INFINITY, cf_eval([2] * 200), cap=10**60)),
      EnumerationOverflow),
     (lambda: fb.make_strongly_keen_example(2**62), fb.ResourceLimit),
+    (lambda: oracle.bounded_distance(INFINITY, reduce(1, 2), 10**30), fb.OracleBudget),
+    (lambda: oracle.bruteforce_geodesics(INFINITY, reduce(1, 2), 10**30), fb.OracleBudget),
+    (lambda: oracle.BoundedSubgraph(10**30).neighbors(INFINITY), fb.OracleBudget),
 ], ids=["bounded_distance(float)", "bounded_distance(str)", "stabilized_distance(None)",
         "bruteforce_geodesics(tuple)", "neighbors(tuple)", "contains(str)",
         "distances_from(None)", "distances_from(non-canonical)", "geodesic_set_to_jsonable(None)",
@@ -442,7 +455,8 @@ def test_seeded_library_fuzz():
         "translation(None)", "translation(float)", "cf_eval(None)", "convergents(5)",
         "ContinuedFraction(5)", "make_strongly_keen_example(3, 5)", "apply(None)",
         "compose(None)", "ExtendedRational(BIG, -1)", "MobiusMap(BIG, 0, 0, 1)",
-        "len(7.3e41 paths)", "make_strongly_keen_example(2**62)"])
+        "len(7.3e41 paths)", "make_strongly_keen_example(2**62)",
+        "bounded_distance(10^30)", "bruteforce_geodesics(10^30)", "neighbors(10^30)"])
 def test_probes_raise_typed_errors(call, error):
     with pytest.raises(error):
         call()

@@ -3,6 +3,7 @@ from __future__ import annotations
 import gc
 import math
 import random
+import time
 import tracemalloc
 
 import pytest
@@ -10,6 +11,7 @@ import pytest
 from fareybridge import farey, oracle
 from fareybridge.errors import EnumerationOverflow, OracleBudget, OutOfBound
 from fareybridge.oracle import (
+    DEFAULT_ORACLE_BUDGET,
     UNREACHABLE,
     BoundedSubgraph,
     bounded_distance,
@@ -273,3 +275,44 @@ def test_geodesic_walk_tests_small_layers_by_determinant(monkeypatch):
             for v in level:
                 counts[v] = sum(counts[u] for u in preds[v])
         assert (d, counts[y.p, y.q]) == farey._length_and_count(INFINITY, y), y
+
+
+@pytest.mark.parametrize("call", [
+    lambda: bounded_distance(INFINITY, sl("1/2"), 10**30),
+    lambda: bruteforce_geodesics(INFINITY, sl("1/2"), 10**30),
+    lambda: bounded_distance(sl("1/3"), sl("2/5"), 10**12),
+    lambda: bruteforce_geodesics(sl("-7/9"), sl("2/5"), 10**12, cap=1),
+    lambda: BoundedSubgraph(10**30).neighbors(INFINITY),
+    lambda: BoundedSubgraph(10**12).neighbors(sl("2/5")),
+    lambda: BoundedSubgraph(DEFAULT_ORACLE_BUDGET + 1).distances_from((1, 0)),
+    lambda: BoundedSubgraph(10**30).distances_from((1, 2)),
+], ids=["bounded_distance(10^30)", "bruteforce_geodesics(10^30)", "bounded_distance(10^12)",
+        "bruteforce_geodesics(10^12)", "neighbors(1/0, 10^30)", "neighbors(2/5, 10^12)",
+        "distances_from(budget + 1)", "distances_from(10^30)"])
+def test_bare_calls_refuse_a_huge_box_before_any_work(call, monkeypatch):
+    def refused(*args):
+        raise AssertionError("a layer grown or a neighbor read")
+
+    monkeypatch.setattr(oracle._Ball, "grow", refused)
+    monkeypatch.setattr(BoundedSubgraph, "_adjacent", refused)
+    tracemalloc.start()
+    try:
+        start = time.perf_counter()
+        with pytest.raises(OracleBudget):
+            call()
+        elapsed, peak = time.perf_counter() - start, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert elapsed < 1 and peak < 2**20, (elapsed, peak)
+
+
+def test_work_budget_is_over_every_layer_of_the_budget_box():
+    # _next_cost counts p/q at 2N // max(|p|, q); summed over a whole box,
+    # which bounds any one layer, that stays under 8 N^2, so no query in a
+    # box of at most DEFAULT_ORACLE_BUDGET is refused
+    assert oracle._WORK_BUDGET == 8 * DEFAULT_ORACLE_BUDGET**2
+    for n in (1, 2, 3, 7, 30, 200):
+        assert sum(2 * n // max(abs(p), q) for p, q in _box(n)) <= 8 * n * n, n
+    sg = BoundedSubgraph(DEFAULT_ORACLE_BUDGET)
+    assert len(sg.neighbors(INFINITY)) == 2 * DEFAULT_ORACLE_BUDGET + 1
+    assert bounded_distance(INFINITY, sl("1/2"), DEFAULT_ORACLE_BUDGET) == 2

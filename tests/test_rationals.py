@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import math
+import random
+
 import pytest
 
 from fareybridge.errors import DomainError
@@ -19,6 +22,7 @@ from fareybridge.rationals import (
     normalize_pair,
     parse_slope,
     reduce,
+    _convergent_pairs,
 )
 
 
@@ -158,6 +162,32 @@ def test_convergents_recurrence():
     for a, b in zip(cs, cs[1:]):
         assert is_adjacent(a, b)
     assert convergents(()) == ()
+
+
+def test_convergent_pairs_run_up_the_images_of_a_map():
+    # the images of the convergents under a linear map keep their
+    # recurrence: (a r + b s, c r + d s) of each unmapped pair, unnormalized
+    rng = random.Random(25)
+    cases = [[1] * k + [2] for k in (1, 2, 9, 40)]
+    cases += [[rng.randint(2, 10**6)] + [1] * rng.randint(1, 30) + [rng.randint(2, 10**6)]
+              for _ in range(10)]
+    cases += [[rng.choice((1, 1, 2, 3, rng.randint(1, 10**6))) for _ in range(rng.randint(1, 40))]
+              for _ in range(30)]
+    maps = [(1, 0, 0, 1), (0, 1, 1, 0), (1, -7, 0, 1), (-3, 2, 5, -3)]
+    for digits in (1, 6, 24, 36, 48):
+        for _ in range(4):
+            maps.append(tuple(rng.randint(-(10**digits), 10**digits) for _ in range(4)))
+            a = c = 0
+            while math.gcd(a, c) != 1:
+                a, c = rng.randrange(1, 10**digits), rng.randrange(1, 10**digits)
+            d = pow(a, -1, c)
+            maps.append((d, -((a * d - 1) // c), -c, a))  # the inverse of a unimodular map
+    for entries in cases:
+        plain = list(_convergent_pairs(entries))
+        assert plain == [(v.p, v.q) for v in convergents(entries)]
+        for a, b, c, d in maps:
+            want = [(a * r + b * s, c * r + d * s) for r, s in plain]
+            assert list(_convergent_pairs(entries, a, b, c, d)) == want, (entries, a, b, c, d)
 
 
 # ---------------------------------------------------------------- mobius maps
