@@ -30,6 +30,7 @@ from .rationals import (
     _int_text,
     _list_text,
     _set,
+    _slope,
     _trusted,
     cf_eval,
 )
@@ -92,7 +93,7 @@ class TwoBridgeLink(_Frozen):
     @property
     def slope(self) -> ExtendedRational:
         """The tangle slope p/q; 1/0 for S(0, 1)."""
-        return _trusted(ExtendedRational, self.p, self.q) if self.q else INFINITY
+        return _slope(self.p, self.q)
 
     @property
     def is_trivial_knot(self) -> bool:

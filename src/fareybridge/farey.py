@@ -57,8 +57,8 @@ named in the walk: the first output names each distinct pair once and the
 set keeps the texts in its walk, so nothing is formatted for a set that
 is never output, and nothing twice.  A set built by the public
 constructor, as the JSON reader and the oracle build theirs, has no
-steps: its rows are made from its paths, each distinct vertex object
-formatted once (_name_paths).
+steps: its rows are made from its paths, a str per vertex, as no two of
+its paths share a vertex object.
 
 Ladders lay down n fans of triangles, fan i with a_i triangles around its
 pivot c_{i-1}; its rim walks the intermediate mediants from the previous
@@ -71,12 +71,15 @@ A ladder keeps only its fans (pivots and rims); its triangles are derived
 from them when they are first read, which only the SVG drawing and
 edges() do.  Every geodesic lies in the ladder; distance builds one
 only for its cap, and so builds no triangle.
-The values built here are built unchecked (rationals._trusted; a walked
-set and its paths directly, and their slopes and a ladder's vertices by
-rationals._slope and _signed_slope, as they are built once a set, a path
-or a vertex), and the rationals they are built from are read with the
-unchecked cores (_det, _is_adjacent, _normal_form, _quotients) behind the
-public names.
+
+The values built here are built unchecked, each by one builder: every
+value by rationals._trusted, but a slope by rationals._slope (or
+_signed_slope, which fixes the sign of a mapped pair first) and a walked
+path by _path, as those are built once a vertex or once a path.  A walk
+memoizes by int pair in one dict type, _Memo: slopes for paths, texts
+for a deferred naming.  The rationals they are built from are read with
+the unchecked cores (_det, _is_adjacent, _normal_form, _quotients) behind
+the public names.
 """
 
 from __future__ import annotations
@@ -322,12 +325,12 @@ class GeodesicSet(_Frozen):
     suffix count, its number of geodesics to the target, 0 off them.  The
     texts are empty past _NAMED_BITS until the first _rows() call makes
     them, once a vertex, and keeps them in _walk.  The walk holds no
-    slope: paths, on first read, makes one per distinct pair (_Slopes),
-    with the set's own source and target at the ends, and keeps the paths
-    in _paths.  For one path it makes a slope of each pair on the path's
-    row; under _BLOCK_GATE paths it maps each row of pairs; from there on
-    it maps the steps and walks those, so that the rows copy the slopes in
-    C.  _rows() walks the texts afresh on each call, so output builds no
+    slope: paths, on first read, makes one per distinct pair (a _Memo of
+    _slope), with the set's own source and target at the ends, and keeps
+    the paths in _paths.  For one path it makes a slope of each pair on
+    the path's row; under _BLOCK_GATE paths it maps each row of pairs;
+    from there on it maps the steps and walks those, so that the rows copy
+    the slopes in C.  _rows() walks the texts afresh on each call, so output builds no
     path and no slope.  Both walks read whole suffix blocks next to the
     target, and cross each forced run above them once a set, once the set
     has _BLOCK_GATE paths (_follow).  A set built from its paths has them
@@ -379,7 +382,7 @@ class GeodesicSet(_Frozen):
                 row = _follow(walk, 0)[0]
                 paths = [_path((x, *starmap(_slope, row[1:-1]), y))]
             else:
-                get = _Slopes({(x.p, x.q): x, (y.p, y.q): y}).__getitem__
+                get = _Memo(_slope, {(x.p, x.q): x, (y.p, y.q): y}).__getitem__
                 if walk[3] < _BLOCK_GATE:  # few rows: each is mapped
                     paths = [_path(map(get, row)) for row in _follow(walk, 0)]
                 else:  # many rows: the steps are mapped, then walked
@@ -391,13 +394,13 @@ class GeodesicSet(_Frozen):
         """Each path's vertices as text, in a new list per path, walked off
         the steps' texts.  A set walked past _NAMED_BITS names its vertices
         on the first call, each distinct one once, and keeps the texts in
-        its walk; a set built from its paths makes its rows from them, each
-        distinct vertex object formatted once."""
+        its walk; a set built from its paths makes its rows from them, a
+        str per vertex."""
         walk = self._walk
         if walk is None:
-            return _name_paths(self.paths)
+            return [[str(v) for v in p.vertices] for p in self.paths]
         if not walk[0][1]:
-            walk = _mapped(walk, _Texts().__getitem__)
+            walk = _mapped(walk, _Memo(_slope_text).__getitem__)
             _set(self, "_walk", walk)
         return _follow(walk, 1)
 
@@ -451,31 +454,17 @@ class GeodesicSet(_Frozen):
         )
 
 
-def _name_paths(paths: tuple[FareyPath, ...]) -> list[list[str]]:
-    """The paths' vertices as text, each distinct vertex object formatted once."""
-    names: dict[int, str] = {}
-    return [
-        [names.get(id(v)) or names.setdefault(id(v), str(v)) for v in p.vertices] for p in paths
-    ]
+class _Memo(dict):
+    """Maps an int pair (p, q) to make(p, q), made on its first lookup."""
 
+    __slots__ = ("make",)
 
-class _Slopes(dict):
-    """Maps an int pair (p, q) to its slope, made on its first lookup."""
-
-    __slots__ = ()
+    def __init__(self, make, known=()):
+        super().__init__(known)
+        self.make = make
 
     def __missing__(self, pair):
-        made = self[pair] = _slope(*pair)
-        return made
-
-
-class _Texts(dict):
-    """Maps an int pair (p, q) to its text, made on its first lookup."""
-
-    __slots__ = ()
-
-    def __missing__(self, pair):
-        made = self[pair] = _slope_text(*pair)
+        made = self[pair] = self.make(*pair)
         return made
 
 
@@ -651,7 +640,7 @@ def _ladder(x: ExtendedRational, y: ExtendedRational, vertex_cap: int | None) ->
     # 0/1: no vertex is mapped back and no fan takes a product.  The pivots
     # are images with their signs fixed, and each rim adds its pivot's image:
     # a unimodular image of a coprime pair is coprime, so no gcd is taken.
-    ws = [(a, c), (b, d), *_convergent_pairs(entries, a, b, c, d)]
+    ws = [*_convergent_pairs(entries, a, b, c, d)]
     cv = [x, *starmap(_signed_slope, ws[1:-1]), y]
     rims = []
     for i, e in enumerate(entries):
@@ -715,14 +704,15 @@ def _ladder_box(x: ExtendedRational, y: ExtendedRational, limit: int) -> int:
 
     The ladder's vertices are c_{k-2} + j*c_{k-1}, 0 <= j <= a_k, mapped back
     linearly, so their |p| and q are convex in j and peak at a convergent:
-    the box of x and the images of the convergents 0/1, c_1, ..., c_n, run up
-    by their own recurrence, holds the ladder, and so every geodesic.
+    the box of the images of the skeleton 1/0, 0/1, c_1, ..., c_n (1/0's
+    is x), run up by its own recurrence, holds the ladder, and so every
+    geodesic.
     """
     bound = max(abs(x.p), x.q)
     if x == y or bound > limit:
         return bound
     a, b, c, d, p, q = _normal_form(x, y)
-    for r, s in chain(((b, d),), _convergent_pairs(_quotients(p, q), a, b, c, d)):
+    for r, s in _convergent_pairs(_quotients(p, q), a, b, c, d):
         bound = max(bound, abs(r), abs(s))
         if bound > limit:
             break
@@ -857,13 +847,7 @@ def _all_geodesics(x: ExtendedRational, y: ExtendedRational, cap: int | None) ->
             node.reverse()
         p0, q0, p1, q1 = p1 - e * p0, q1 - e * q0, p0, q0
     root = (((x.p, x.q),), (_slope_text(x.p, x.q),) if named else (), 0)
-    gs = object.__new__(GeodesicSet)
-    _set(gs, "source", x)
-    _set(gs, "target", y)
-    _set(gs, "length", dist[-1])
-    _set(gs, "_paths", None)
-    _set(gs, "_walk", (root, steps, t, count, counts))
-    return gs
+    return _trusted(GeodesicSet, x, y, dist[-1], None, (root, steps, t, count, counts))
 
 
 def _rewalk(x: ExtendedRational, y: ExtendedRational, count: int) -> GeodesicSet:

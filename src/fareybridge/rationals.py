@@ -17,7 +17,7 @@ import math
 import re
 from collections.abc import Sequence
 from functools import total_ordering
-from itertools import zip_longest
+from itertools import islice, starmap, zip_longest
 from operator import attrgetter
 
 from .errors import DomainError
@@ -293,8 +293,8 @@ _set_p, _set_q = ExtendedRational.p.__set__, ExtendedRational.q.__set__
 
 def _slope(p: int, q: int) -> ExtendedRational:
     """The slope p/q of a canonical pair, built without validation: the
-    one-slope case of _trusted, for the slopes made once a vertex (paths,
-    _signed_slope) or once a parse."""
+    one-slope case of _trusted, which builds every slope the library makes
+    unchecked (parses, evaluations, normal forms, paths, _signed_slope)."""
     v = object.__new__(ExtendedRational)
     _set_p(v, p)
     _set_q(v, q)
@@ -415,7 +415,7 @@ def cf_eval(entries: ContinuedFraction | Sequence[int]) -> ExtendedRational:
     p, q = 0, 1
     for a in reversed(es):
         p, q = q, a * q + p
-    return _trusted(ExtendedRational, p, q)
+    return _slope(p, q)
 
 
 def convergents(entries: ContinuedFraction | Sequence[int]) -> tuple[ExtendedRational, ...]:
@@ -428,14 +428,17 @@ def convergents(entries: ContinuedFraction | Sequence[int]) -> tuple[ExtendedRat
     ['1/2', '3/7', '10/23', '23/53', '79/182']
     """
     es = entries.entries if isinstance(entries, ContinuedFraction) else _checked_entries(entries)
-    return tuple(_trusted(ExtendedRational, p, q) for p, q in _convergent_pairs(es))
+    return tuple(starmap(_slope, islice(_convergent_pairs(es), 2, None)))
 
 
 def _convergent_pairs(entries, a: int = 1, b: int = 0, c: int = 0, d: int = 1):
-    """The convergents c_1, ..., c_n of [a1, ..., an] as integer pairs, or
-    their images under the linear map (a, b, c, d), unnormalized, one at a
-    time: c_k = a_k c_{k-1} + c_{k-2} from c_{-1} = (a, c), c_0 = (b, d)."""
+    """The skeleton c_{-1} = 1/0, c_0 = 0/1, c_1, ..., c_n of [a1, ..., an]
+    as integer pairs, or its images under the linear map (a, b, c, d),
+    unnormalized, one at a time: the map's columns c_{-1} = (a, c) and
+    c_0 = (b, d), then c_k = a_k c_{k-1} + c_{k-2}."""
     h0, k0, h1, k1 = a, c, b, d
+    yield h0, k0
+    yield h1, k1
     for a in entries:
         h0, k0, h1, k1 = h1, k1, a * h1 + h0, a * k1 + k0
         yield h1, k1
@@ -535,7 +538,7 @@ def normalize_pair(
     """
     _check_type("each slope", ExtendedRational, x, y)
     a, b, c, d, p, q = _normal_form(x, y)
-    return _trusted(MobiusMap, d, -b, -c, a), _trusted(ExtendedRational, p, q)
+    return _trusted(MobiusMap, d, -b, -c, a), _slope(p, q)
 
 
 def _normal_form(x: ExtendedRational, y: ExtendedRational) -> tuple[int, int, int, int, int, int]:

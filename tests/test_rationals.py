@@ -165,8 +165,9 @@ def test_convergents_recurrence():
 
 
 def test_convergent_pairs_run_up_the_images_of_a_map():
-    # the images of the convergents under a linear map keep their
-    # recurrence: (a r + b s, c r + d s) of each unmapped pair, unnormalized
+    # the images of the skeleton c_{-1} = 1/0, c_0 = 0/1, c_1, ... under a
+    # linear map keep its recurrence from the map's two columns:
+    # (a r + b s, c r + d s) of each unmapped pair, unnormalized
     rng = random.Random(25)
     cases = [[1] * k + [2] for k in (1, 2, 9, 40)]
     cases += [[rng.randint(2, 10**6)] + [1] * rng.randint(1, 30) + [rng.randint(2, 10**6)]
@@ -184,10 +185,11 @@ def test_convergent_pairs_run_up_the_images_of_a_map():
             maps.append((d, -((a * d - 1) // c), -c, a))  # the inverse of a unimodular map
     for entries in cases:
         plain = list(_convergent_pairs(entries))
-        assert plain == [(v.p, v.q) for v in convergents(entries)]
+        assert plain == [(1, 0), (0, 1)] + [(v.p, v.q) for v in convergents(entries)]
         for a, b, c, d in maps:
             want = [(a * r + b * s, c * r + d * s) for r, s in plain]
-            assert list(_convergent_pairs(entries, a, b, c, d)) == want, (entries, a, b, c, d)
+            got = list(_convergent_pairs(entries, a, b, c, d))
+            assert got[:2] == [(a, c), (b, d)] and got == want, (entries, a, b, c, d)
 
 
 # ---------------------------------------------------------------- mobius maps
