@@ -425,9 +425,8 @@ def _report_text(r: dict) -> list[str]:
         f"case {r['case']}",
         f"keen {_tri(r['keen'])}",
         f"strongly_keen {_tri(r['strongly_keen'])}",
+        f"note {r['note']}",  # every report the CLI makes has one
     ]
-    if r["note"]:
-        lines.append(f"note {r['note']}")
     return lines + [" -> ".join(p) for p in r.get("geodesics", ())]
 
 

@@ -302,14 +302,13 @@ class Ladder(_Frozen):
         return tuple(seen)
 
     def edges(self) -> tuple[tuple[ExtendedRational, ExtendedRational], ...]:
-        """All distinct edges, each as a sorted pair, in first-appearance order."""
+        """All distinct edges, each as a sorted pair, in first-appearance
+        order: each triangle's vertices are sorted already."""
         seen: dict[tuple, None] = {}
         for t in self.triangles:
-            vs = t.vertices
-            for a, b in ((vs[0], vs[1]), (vs[0], vs[2]), (vs[1], vs[2])):
-                if _sort_key(b) < _sort_key(a):
-                    a, b = b, a
-                seen.setdefault((a, b))
+            a, b, c = t.vertices
+            for edge in ((a, b), (a, c), (b, c)):
+                seen.setdefault(edge)
         return tuple(seen)
 
 

@@ -8,6 +8,13 @@ plain BFS.  Distances in the bounded graph can only overshoot the true ones,
 and they stop changing once N is large enough to contain every vertex a
 shortest path needs, which is what stabilized_distance waits for.
 
+Every box is connected, so a query inside its box always answers.  The
+map p/q -> -p/q sends the box and the graph onto themselves, and a slope
+p/q >= 0 in the box reaches 1/0 inside it through its regular
+convergents: their numerators and denominators stay at or below p and q,
+and each one is adjacent to the next.  So every vertex of the box lies in
+the component of 1/0.
+
 A query grows one BFS ball from each end, a layer at a time, and stops
 where the two meet, so it maps the neighborhoods of its two ends and not
 the whole box.  The balls belong to the query and are dropped when it
@@ -19,7 +26,7 @@ a layer that would read more than _WORK_BUDGET = 8 B^2 neighbors, for B =
 DEFAULT_ORACLE_BUDGET, and neighbors() for a vertex with more.  No layer
 of a box of at most B reads that many (at most 4m of its slopes have
 max(|p|, q) = m, each read at 2B // m), so only larger boxes are refused.
-distances_from(), which maps a whole component, refuses a box over B.
+distances_from(), which maps the whole box, refuses a box over B.
 """
 
 from __future__ import annotations
@@ -29,7 +36,6 @@ from .farey import DEFAULT_GEO_CAP, GEO_CAP_ENV, FareyPath, GeodesicSet, _resolv
 from .rationals import ExtendedRational, _check_ints, _check_type, _Frozen, _int_text, _set
 
 __all__ = [
-    "UNREACHABLE",
     "BoundedSubgraph",
     "bounded_distance",
     "stabilized_distance",
@@ -40,23 +46,6 @@ __all__ = [
 DEFAULT_ORACLE_BUDGET = 8192  # largest bound stabilized_distance or the CLI check may visit
 # neighbors one layer, or one neighbors() call, may read (module docstring)
 _WORK_BUDGET = 8 * DEFAULT_ORACLE_BUDGET**2
-
-
-class _Unreachable:
-    """Sentinel for 'no path inside this bound'."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self) -> str:
-        return "Unreachable"
-
-
-UNREACHABLE = _Unreachable()
 
 
 def _ceil_div(a: int, b: int) -> int:
@@ -140,9 +129,9 @@ class BoundedSubgraph(_Frozen):
         return tuple(sorted(ExtendedRational(r, s) for r, s in self._adjacent(*pq)))
 
     def distances_from(self, src: tuple[int, int]) -> dict[tuple[int, int], int]:
-        """BFS distance map over the whole bounded component of src, the
-        int pair (p, q) of an in-bound slope: its ball, grown until it is
-        exhausted.  OracleBudget for a bound over DEFAULT_ORACLE_BUDGET."""
+        """BFS distance map over the whole box from src, the int pair
+        (p, q) of an in-bound slope: its ball, grown until a layer comes
+        out empty.  OracleBudget for a bound over DEFAULT_ORACLE_BUDGET."""
         if type(src) is not tuple or len(src) != 2:
             raise DomainError(f"src must be a pair (p, q), got {type(src).__name__}")
         if self.bound > DEFAULT_ORACLE_BUDGET:
@@ -151,8 +140,8 @@ class BoundedSubgraph(_Frozen):
                 f"> budget {DEFAULT_ORACLE_BUDGET}"
             )
         ball = _Ball(self, _check_inside(self, ExtendedRational(*src)))
-        while not ball.exhausted:
-            ball.grow()
+        while ball.grow():
+            pass
         return ball.dist
 
 
@@ -161,17 +150,17 @@ class _Ball:
     maps every vertex of the completed layers to its layer.  cost is the
     _next_cost of the last layer once asked for, None until then."""
 
-    __slots__ = ("sg", "dist", "layers", "exhausted", "cost")
+    __slots__ = ("sg", "dist", "layers", "cost")
 
     def __init__(self, sg: BoundedSubgraph, src: tuple[int, int]):
         self.sg = sg
         self.dist = {src: 0}
         self.layers = [[src]]
-        self.exhausted = False  # dist holds src's whole bounded component
         self.cost = None
 
     def grow(self) -> list[tuple[int, int]]:
-        """Discover the next layer and return it; empty once exhausted."""
+        """Discover the next layer, append it and return it; empty once
+        dist holds the whole box."""
         dist, k, new = self.dist, len(self.layers), []
         adjacent = self.sg._adjacent
         for u in self.layers[-1]:
@@ -179,11 +168,8 @@ class _Ball:
                 if w not in dist:
                     dist[w] = k
                     new.append(w)
-        if new:
-            self.layers.append(new)
-            self.cost = None
-        else:
-            self.exhausted = True
+        self.layers.append(new)
+        self.cost = None
         return new
 
 
@@ -204,9 +190,10 @@ def _check_inside(sg: BoundedSubgraph, v: ExtendedRational) -> tuple[int, int]:
     return (v.p, v.q)
 
 
-def _meet(bx: _Ball, by: _Ball) -> int | None:
-    """Distance between the sources of two fresh balls in one box, or None
-    when they lie in different components.
+def _meet(bx: _Ball, by: _Ball) -> int:
+    """Distance between the sources of two fresh balls in one box.  The box
+    is connected (module docstring), so the balls meet before either one
+    runs out.
 
     Once the balls share a vertex, the least dx + dy over the shared
     vertices is the distance d: every shared vertex gives a walk, and the
@@ -219,8 +206,6 @@ def _meet(bx: _Ball, by: _Ball) -> int | None:
     """
     d = None
     while d is None:
-        if bx.exhausted or by.exhausted:
-            return None
         cx, cy = _next_cost(bx), _next_cost(by)
         ball, other, cost = (bx, by.dist, cx) if cx <= cy else (by, bx.dist, cy)
         if cost > _WORK_BUDGET:
@@ -233,24 +218,20 @@ def _meet(bx: _Ball, by: _Ball) -> int | None:
     return d
 
 
-def bounded_distance(
-    x: ExtendedRational, y: ExtendedRational, bound: int
-):
-    """BFS distance within the bound, or UNREACHABLE.
+def bounded_distance(x: ExtendedRational, y: ExtendedRational, bound: int) -> int:
+    """BFS distance within the bound.
 
     Searched from both ends at once: the balls of x and y grow until they
     meet, so the search maps the neighborhoods of the two ends, not the
-    whole box.  The bounded graph is connected in practice (the
-    convergent path to 1/0 stays inside any box containing its endpoint),
-    so UNREACHABLE is defensive surface.
+    whole box.  The box is connected (module docstring), so they always
+    meet.
     """
     sg = BoundedSubgraph(bound)
     xv = _check_inside(sg, x)
     yv = _check_inside(sg, y)
     if xv == yv:
         return 0
-    d = _meet(_Ball(sg, xv), _Ball(sg, yv))
-    return UNREACHABLE if d is None else d
+    return _meet(_Ball(sg, xv), _Ball(sg, yv))
 
 
 def stabilized_distance(
@@ -258,19 +239,20 @@ def stabilized_distance(
     y: ExtendedRational,
     *,
     max_bound: int = DEFAULT_ORACLE_BUDGET,
-):
+) -> int:
     """bounded_distance at N = 4*max(|p|, q), doubling N until the value is
     unchanged across two consecutive doublings; returns the settled value.
 
-    Bounded distances can only overshoot the true ones and are monotone in
-    the bound, so agreement across doublings is the stopping signal.  Raises
-    OracleBudget before computing at any bound above max_bound, and, above
+    Every box answers (it is connected), bounded distances can only
+    overshoot the true ones, and they are monotone in the bound, so
+    agreement across doublings is the stopping signal.  Raises OracleBudget
+    before computing at any bound above max_bound, and, above
     DEFAULT_ORACLE_BUDGET, where bounded_distance passes its work budget.
     """
     _check_type("each slope", ExtendedRational, x, y)
     _check_ints("max_bound", max_bound)
     bound = 4 * max(1, abs(x.p), x.q, abs(y.p), y.q)
-    values: list = []
+    values: list[int] = []
     while True:
         if bound > max_bound:
             raise OracleBudget(
@@ -278,11 +260,7 @@ def stabilized_distance(
                 f"> budget {_int_text(max_bound)}"
             )
         values.append(bounded_distance(x, y, bound))
-        if (
-            len(values) >= 3
-            and values[-1] is not UNREACHABLE
-            and values[-1] == values[-2] == values[-3]
-        ):
+        if len(values) >= 3 and values[-1] == values[-2] == values[-3]:
             return values[-1]
         bound *= 2
 
@@ -367,8 +345,6 @@ def bruteforce_geodesics(
         return GeodesicSet(x, y, 0, (FareyPath((x,)),))
     bx, by = _Ball(sg, xv), _Ball(sg, yv)
     length = _meet(bx, by)
-    if length is None:
-        raise DomainError(f"{y} unreachable from {x} at bound {_int_text(bound)}")
 
     levels, preds = _geodesic_dag(bx, by, length)
     counts = {xv: 1}

@@ -22,12 +22,11 @@ def _layout(l: Ladder) -> dict[ExtendedRational, tuple[int, int]]:
     for j, (pivot, rim) in enumerate(zip(l.pivots, l.rims)):
         pivot_rail = 1 if j % 2 == 0 else 0
         if pivot not in pos:
-            # Runs after the first reuse an already placed pivot.
-            if rim[0] not in pos:
-                pos[rim[0]] = (slot, 1 - pivot_rail)
-                slot += 1
-            pos[pivot] = (slot, pivot_rail)
-            slot += 1
+            # Only the first run's pivot is new, as each later one ends the
+            # previous rim; x, where the first rim starts, goes before it.
+            pos[rim[0]] = (slot, 1 - pivot_rail)
+            pos[pivot] = (slot + 1, pivot_rail)
+            slot += 2
         for v in rim:
             if v not in pos:
                 pos[v] = (slot, 1 - pivot_rail)

@@ -457,6 +457,9 @@ def test_caps_from_the_environment_past_the_int_str_digit_limit(monkeypatch):
         code, out, err = invoke(cmd, "1/0", "19/42")
         assert (code, out) == (1, "")
         assert err == f"error: {env} must be positive, got -1{'0' * 5000}\n"
+        monkeypatch.setenv(env, "abc")
+        code, out, err = invoke(cmd, "1/0", "19/42")
+        assert (code, out, err) == (1, "", f"error: {env} must be an integer, got 'abc'\n")
 
 
 def test_resource_limits_exit_2(monkeypatch):

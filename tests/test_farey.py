@@ -298,6 +298,9 @@ def test_geo_cap_from_environment_past_the_int_str_digit_limit(monkeypatch):
         monkeypatch.setenv(env, "-1" + "0" * 5000)
         with pytest.raises(DomainError, match=f"^{env} must be positive, got -10{{5000}}$"):
             farey._resolve_cap(None, env, 1)
+        monkeypatch.setenv(env, "abc")
+        with pytest.raises(DomainError, match=f"^{env} must be an integer, got 'abc'$"):
+            farey._resolve_cap(None, env, 1)
 
 
 @pytest.mark.parametrize("call, kind", [

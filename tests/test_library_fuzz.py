@@ -350,7 +350,7 @@ def _check_answer(name: str, args: list, value) -> None:
             assert fb.GeodesicSet(*args, value.length, paths) == value
     elif name == "stabilized_distance":
         assert value == fb.distance(*args[:2])
-    elif name == "bounded_distance" and value is not oracle.UNREACHABLE:
+    elif name == "bounded_distance":
         assert value >= farey._length_and_count(*args[:2])[0]
     elif name == "bruteforce_geodesics":
         x, y, bound = args

@@ -12,7 +12,6 @@ from fareybridge import farey, oracle
 from fareybridge.errors import EnumerationOverflow, OracleBudget, OutOfBound
 from fareybridge.oracle import (
     DEFAULT_ORACLE_BUDGET,
-    UNREACHABLE,
     BoundedSubgraph,
     bounded_distance,
     bruteforce_geodesics,
@@ -103,9 +102,13 @@ def test_bounded_distance_monotone_in_bound():
     assert values[-1] == 4
 
 
-def test_unreachable_is_a_singleton_sentinel():
-    assert repr(UNREACHABLE) == "Unreachable"
-    assert UNREACHABLE is type(UNREACHABLE)()
+def test_every_box_is_connected():
+    # the whole box, counted here, is one component, so every query inside
+    # it answers; an _adjacent that cuts the box apart or leaves a pair
+    # off its canonical sign fails here, where _meet would search on
+    for n in range(1, 41):
+        box = sum(1 for q in range(1, n + 1) for p in range(-n, n + 1) if math.gcd(p, q) == 1)
+        assert len(BoundedSubgraph(n).distances_from((1, 0))) == 1 + box, n
 
 
 def test_stabilized_distance_examples():

@@ -6,12 +6,11 @@ from __future__ import annotations
 
 import copy
 import pickle
-from unittest import mock
 
 import pytest
 
 import fareybridge as fb
-from fareybridge import oracle, render
+from fareybridge import render
 from fareybridge.errors import DomainError
 from fareybridge.oracle import (
     BoundedSubgraph,
@@ -288,11 +287,6 @@ DIGITS = _int_text(BIG)
 M = BIG // 4
 
 
-def _unreachable_at_a_huge_bound():
-    with mock.patch.object(oracle, "_meet", lambda bx, by: None):
-        bruteforce_geodesics(INF, sl("1/2"), BIG)
-
-
 @pytest.mark.parametrize("call, error, shown", [
     (lambda: fb.ExtendedRational(BIG, -1), DomainError, BIG),
     (lambda: fb.ExtendedRational(BIG, 0), DomainError, BIG),
@@ -302,13 +296,12 @@ def _unreachable_at_a_huge_bound():
     (lambda: BoundedSubgraph(-BIG), DomainError, -BIG),
     (lambda: bounded_distance(fb.reduce(1, 10 * BIG), ZERO, BIG), fb.OutOfBound, BIG),
     (lambda: stabilized_distance(INF, fb.reduce(1, BIG)), fb.OracleBudget, 4 * BIG),
-    (_unreachable_at_a_huge_bound, DomainError, BIG),
     (lambda: bruteforce_geodesics(fb.reduce(3, 3 * M + 2), fb.reduce(1, M), BIG, cap=1),
      fb.EnumerationOverflow, BIG),
 ], ids=["ExtendedRational(BIG, -1)", "ExtendedRational(BIG, 0)", "ExtendedRational(BIG, 10)",
         "MobiusMap(BIG, 0, 0, 1)", "ladder(vertex_cap=BIG)", "BoundedSubgraph(-BIG)",
         "bounded_distance(outside BIG)", "stabilized_distance(INF, 1/BIG)",
-        "bruteforce_geodesics(unreachable)", "bruteforce_geodesics(cap=1)"])
+        "bruteforce_geodesics(cap=1)"])
 def test_errors_are_typed_and_exact_at_any_int_size(call, error, shown):
     with pytest.raises(error) as info:
         call()
@@ -323,8 +316,11 @@ def test_errors_are_typed_and_exact_at_any_int_size(call, error, shown):
     (lambda: repr(fb.ContinuedFraction((BIG,))), f"ContinuedFraction(entries=({DIGITS},))"),
     (lambda: repr(fb.MobiusMap(1, BIG, 0, 1)), f"MobiusMap(a=1, b={DIGITS}, c=0, d=1)"),
     (lambda: str(fb.MobiusMap(1, BIG, 0, 1)), f"MobiusMap(a=1, b={DIGITS}, c=0, d=1)"),
+    (lambda: str(fb.FareyTriangle((INF, fb.reduce(BIG, 1), fb.reduce(BIG + 1, 1)), "L")),
+     f"{{1/0, {DIGITS}/1, {DIGITS[:-1]}1/1}}:L"),
 ], ids=["repr(TwoBridgeLink)", "repr(CompositeLink)", "repr(ContinuedFraction)",
-        "repr(ContinuedFraction, one entry)", "repr(MobiusMap)", "str(MobiusMap)"])
+        "repr(ContinuedFraction, one entry)", "repr(MobiusMap)", "str(MobiusMap)",
+        "str(FareyTriangle)"])
 def test_reprs_are_exact_at_any_int_size(text, want):
     assert text() == want
 
