@@ -11,16 +11,15 @@ import os
 import sys
 
 # argparse, json and oracle are imported inside the functions that use them
-# (argparse in _build_parser, oracle in _oracle): at module level they would
-# add to every import of the JSON helpers, which need none of them, and json
-# and oracle to the start of every command that needs neither.
+# (argparse in _build_parser, oracle in the oracle check): at module level
+# they would add to every import of the JSON helpers, which need none of
+# them, and json and oracle to the start of every command that needs neither.
 from . import bridge, farey, render
 from .errors import (
     DomainError,
     FareyBridgeError,
     OracleBudget,
     ResourceLimit,
-    SpineUndefined,
 )
 from .farey import FareyPath, GeodesicSet
 from .rationals import (
@@ -277,17 +276,12 @@ def _build_parser():
 
 # ---------------------------------------------------------------- oracle check
 
-def _oracle():
-    from . import oracle
-
-    return oracle
-
-
 def _oracle_bound(x: ExtendedRational, y: ExtendedRational) -> int:
     """The oracle's box, farey._ladder_box(x, y), which holds every geodesic.
     Over the oracle budget: OracleBudget, as soon as the box passes it, and
     no BFS."""
-    budget = _oracle().DEFAULT_ORACLE_BUDGET
+    from .oracle import DEFAULT_ORACLE_BUDGET as budget
+
     bound = farey._ladder_box(x, y, budget)
     if bound > budget:
         raise OracleBudget(
@@ -299,7 +293,8 @@ def _oracle_bound(x: ExtendedRational, y: ExtendedRational) -> int:
 def _oracle_check(x, y, bound: int, payload: dict, geo_cap: int | None) -> None:
     """FareyBridgeError unless the oracle, in the box and under geo_cap, finds
     the payload's distance and, when it lists geodesics, the same rows in order."""
-    oracle = _oracle()
+    from . import oracle
+
     got = payload["distance"]
     if "geodesics" not in payload:
         want = oracle.bounded_distance(x, y, bound)
@@ -346,17 +341,14 @@ def _ladder(args) -> dict | str:
         return render.render_ascii(l)
     if args.render == "svg":
         return render.render_svg(l)
-    try:
-        spine_strs = [str(v) for v in farey.spine(l).vertices]
-    except SpineUndefined:
-        spine_strs = None
+    spine = farey._spine(l)
     return {
         "x": str(args.x),
         "y": str(args.y),
         "type": list(l.runs),
         "triangles": l.triangle_count,
         "pivots": [str(p) for p in l.pivots],
-        "spine": spine_strs,
+        "spine": None if spine is None else [str(v) for v in spine.vertices],
     }
 
 
@@ -472,19 +464,23 @@ def run(argv: list[str], out=None, err=None) -> int:
         result = handler(args)
         if box:
             _oracle_check(*box, bound, result, args.geo_cap)
+        if isinstance(result, str):
+            out.write(result)
+        elif args.json:
+            print(_dump({"v": SCHEMA_VERSION, "op": args.command, **result}), file=out)
+        else:
+            print("\n".join(text(result)), file=out)
+        return 0
     except ResourceLimit as e:
         print(f"resource limit: {e}", file=err)
         return 2
     except FareyBridgeError as e:
         print(f"error: {e}", file=err)
         return 1
-    if isinstance(result, str):
-        out.write(result)
-    elif args.json:
-        print(_dump({"v": SCHEMA_VERSION, "op": args.command, **result}), file=out)
-    else:
-        print("\n".join(text(result)), file=out)
-    return 0
+    except MemoryError:  # an answer too large to build or write whole
+        pass  # written below: leaving this block frees what the failed calls held
+    print("resource limit: out of memory", file=err)
+    return 2
 
 
 def main() -> None:

@@ -611,21 +611,24 @@ def ladder(
     Raises DomainError for a bad vertex cap, then EmptyLadder for x = y,
     DegenerateLadder for adjacent endpoints, LadderTooLarge when the strip
     would exceed the vertex cap (FAREY_LADDER_CAP, default 10**6 vertices).
+    The cap and the pair are checked here, once; _ladder builds.
     """
     _check_type("each slope", ExtendedRational, x, y)
-    return _ladder(x, y, vertex_cap)
-
-
-def _ladder(x: ExtendedRational, y: ExtendedRational, vertex_cap: int | None) -> Ladder:
-    """ladder, for slopes the library holds."""
     cap = _resolve_cap(vertex_cap, LADDER_CAP_ENV, DEFAULT_LADDER_CAP)
     if x == y:
         raise EmptyLadder(f"no ladder between equal slopes {x}")
     if _is_adjacent(x, y):
         raise DegenerateLadder(f"{x} and {y} are adjacent; the ladder is empty")
+    return _ladder(x, y, cap)
 
+
+def _ladder(x: ExtendedRational, y: ExtendedRational, cap: int) -> Ladder:
+    """The ladder between x and y, or LadderTooLarge past cap vertices.  The
+    caller has resolved cap and checked that x and y are distinct and not
+    adjacent, as ladder and distance do."""
     a, b, c, d, p, q = _normal_form(x, y)
-    # p/q = 0/1 would mean adjacency, excluded above; so entries is not empty.
+    # p/q = 0/1 would mean adjacency, which the caller excludes; so entries
+    # is not empty.
     entries = tuple(_quotients(p, q))
     n_vertices = sum(entries) + 2
     if n_vertices > cap:
@@ -665,13 +668,22 @@ def spine(l: Ladder) -> FareyPath:
     """The path from x to y through every pivot in strip order.
 
     Defined only for ladders with at least 3 triangles (SpineUndefined
-    otherwise; the sole 2-triangle shape is the type-(2) ladder).
+    otherwise; the sole 2-triangle shape is the type-(2) ladder).  The
+    drawings and the CLI read _spine, which gives None there.
     """
     _check_type("the ladder", Ladder, l)
-    if l.triangle_count < 3:
+    path = _spine(l)
+    if path is None:
         raise SpineUndefined(
             f"spine needs >= 3 triangles, ladder has {l.triangle_count}"
         )
+    return path
+
+
+def _spine(l: Ladder) -> FareyPath | None:
+    """spine, or None for a ladder of fewer than 3 triangles."""
+    if l.triangle_count < 3:
+        return None
     return _trusted(FareyPath, (l.x,) + l.pivots + (l.y,))
 
 

@@ -8,28 +8,25 @@ with the spine zigzagging between the rails.
 
 from __future__ import annotations
 
-from .farey import Ladder, spine
-from .errors import SpineUndefined
+from .farey import Ladder, _spine
 from .rationals import ExtendedRational, _check_type
 
 __all__ = ["render_ascii", "render_svg"]
 
 
 def _layout(l: Ladder) -> dict[ExtendedRational, tuple[int, int]]:
-    """vertex -> (slot, rail); rail 0 is the top, 1 the bottom."""
-    pos: dict[ExtendedRational, tuple[int, int]] = {}
-    slot = 0
-    for j, (pivot, rim) in enumerate(zip(l.pivots, l.rims)):
-        pivot_rail = 1 if j % 2 == 0 else 0
-        if pivot not in pos:
-            # Only the first run's pivot is new, as each later one ends the
-            # previous rim; x, where the first rim starts, goes before it.
-            pos[rim[0]] = (slot, 1 - pivot_rail)
-            pos[pivot] = (slot + 1, pivot_rail)
-            slot += 2
+    """vertex -> (slot, rail); rail 0 is the top, 1 the bottom.
+
+    x, where the first rim starts, and the first pivot take slots 0 and 1.
+    Every later pivot ends the rim before it, so it is placed already, and
+    each rim places only the vertices it adds.
+    """
+    pos = {l.x: (0, 0), l.pivots[0]: (1, 1)}
+    slot = 2
+    for j, rim in enumerate(l.rims):
         for v in rim:
-            if v not in pos:
-                pos[v] = (slot, 1 - pivot_rail)
+            if v not in pos:  # on the rail opposite the pivot's
+                pos[v] = (slot, j % 2)
                 slot += 1
     return pos
 
@@ -50,10 +47,9 @@ def render_ascii(l: Ladder) -> str:
         rim_text = " ".join(str(v) for v in rim)
         lines.append(f"run {j + 1}  {label} x{l.runs[j]}  pivot {pivot}  rim {rim_text}")
     lines.append("pivots " + " ".join(str(p) for p in l.pivots))
-    try:
-        lines.append("spine  " + " ".join(str(v) for v in spine(l).vertices))
-    except SpineUndefined:
-        lines.append("spine  (undefined: fewer than 3 triangles)")
+    sp = _spine(l)
+    lines.append("spine  " + ("(undefined: fewer than 3 triangles)" if sp is None
+                              else " ".join(str(v) for v in sp.vertices)))
     return "\n".join(lines) + "\n"
 
 
@@ -89,12 +85,10 @@ def render_svg(l: Ladder) -> str:
         parts.append(
             f'<polygon class="triangle lab-{tri.label}" points="{pts}"/>'
         )
-    try:
-        sp = spine(l)
+    sp = _spine(l)
+    if sp is not None:
         pts = " ".join(f"{xy(v)[0]},{xy(v)[1]}" for v in sp.vertices)
         parts.append(f'<polyline class="spine" points="{pts}"/>')
-    except SpineUndefined:
-        pass
     for p in l.pivots:
         x, y = xy(p)
         parts.append(f'<circle class="pivot" cx="{x}" cy="{y}" r="6"/>')

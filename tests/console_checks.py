@@ -5,9 +5,10 @@
 
 The arguments are the command to run.  The checks cover what the in-process
 tests cannot see: exit codes and tracebacks of real processes, a closed
-pipe, the environment's caps, each process's max RSS, and the sha256 of
-large outputs, pinned.  Each check prints one line; the first that fails
-raises AssertionError.  Importing this module runs nothing.
+pipe, the environment's caps, a memory limit, each process's max RSS, and
+the sha256 of large outputs, pinned.  Each check prints one line; the
+first that fails raises AssertionError.  Importing this module runs
+nothing.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import json
 import math
 import os
 import random
+import resource
 import subprocess
 import sys
 import tempfile
@@ -24,12 +26,18 @@ import tempfile
 import fareybridge as fb
 
 
-def _ok(cmd: list[str], *args: str, code: int = 0, env: dict | None = None) -> tuple[bytes, float]:
-    """stdout and max RSS in MB of one process, which must exit with code
-    and print no traceback."""
+def _ok(cmd: list[str], *args: str, code: int = 0, env: dict | None = None,
+        limit_mb: int | None = None) -> tuple[bytes, float]:
+    """stdout and max RSS in MB of one process, run under an address-space
+    limit of limit_mb if given, which must exit with code and print no
+    traceback; exit 2 must say "resource limit: "."""
+    def limited():
+        resource.setrlimit(resource.RLIMIT_AS, (limit_mb << 20, limit_mb << 20))
+
     with tempfile.TemporaryFile() as out, tempfile.TemporaryFile() as err:
         proc = subprocess.Popen([*cmd, *args], stdout=out, stderr=err,
-                                env=None if env is None else {**os.environ, **env})
+                                env=None if env is None else {**os.environ, **env},
+                                preexec_fn=None if limit_mb is None else limited)
         _, status, usage = os.wait4(proc.pid, 0)
         proc.returncode = os.waitstatus_to_exitcode(status)
         out.seek(0)
@@ -37,6 +45,7 @@ def _ok(cmd: list[str], *args: str, code: int = 0, env: dict | None = None) -> t
         stdout, stderr = out.read(), err.read()
     assert proc.returncode == code and b"Traceback" not in stderr, (
         args[:3], proc.returncode, stderr[-2000:])
+    assert code != 2 or stderr.startswith(b"resource limit: "), (args[:3], stderr[-2000:])
     return stdout, usage.ru_maxrss / 1024
 
 
@@ -90,6 +99,14 @@ def check(cmd: list[str]) -> None:
     _, rss_mb = _ok(cmd, "geodesics", "1/0", y, code=2)
     print(f"10^356 geodesics: exit 2, max RSS {rss_mb:.1f} MB")
     assert rss_mb < 40, rss_mb
+
+    # 1,346,269 geodesics of 31 vertices, whose rows and text do not fit in
+    # 512 MB of address space: out of memory is exit 2, with no traceback
+    y = fb.cf_eval([2] * 30)
+    for args in (["geodesics", "1/0", str(y)], ["--json", "geodesics", "1/0", str(y)],
+                 ["classify-2bridge", str(y.q), str(y.p)]):
+        _ok(cmd, "--geo-cap", str(10**8), *args, code=2, limit_mb=512)
+        print(f"{' '.join(args[:-2])} over [2]*30 in 512 MB: exit 2, out of memory")
 
     _ok(cmd, "--oracle", "--json", "geodesics", "1/0", "2378/5741")
     print("--oracle --json geodesics 1/0 2378/5741: exit 0")

@@ -12,7 +12,7 @@ import tracemalloc
 
 import pytest
 
-from fareybridge import bridge, cli, farey, oracle
+from fareybridge import bridge, cli, farey, oracle, render
 from fareybridge.cli import (
     geodesic_set_from_jsonable,
     geodesic_set_to_jsonable,
@@ -20,7 +20,7 @@ from fareybridge.cli import (
     report_to_jsonable,
     run,
 )
-from fareybridge.errors import DomainError, OracleBudget, ResourceLimit
+from fareybridge.errors import DomainError, OracleBudget, ResourceLimit, SpineUndefined
 from fareybridge.rationals import (
     INFINITY,
     ZERO,
@@ -129,6 +129,42 @@ def test_ladder_render_svg():
     assert out.startswith("<svg")
     assert out.count("<polygon") == 10
     assert out.count('class="pivot"') == 4
+
+
+@pytest.mark.parametrize("entries, moved", [
+    ([2], False), ([3], False), ([3, 3], False), ([2, 3, 3, 2, 3], True),
+], ids=["1/2", "1/3", "3/10", "moved [2,3,3,2,3]"])
+def test_every_ladder_reader_agrees_on_the_spine(entries, moved):
+    # the library, the JSON and text summaries and both drawings: each
+    # reads no spine for the type-(2) ladder, and the same vertices otherwise
+    m = MobiusMap(123, 47, 34, 13) if moved else MobiusMap(1, 0, 0, 1)
+    x, y = m.apply(INFINITY), m.apply(cf_eval(entries))
+    l = farey.ladder(x, y)
+    pair = ("--", str(x), str(y))
+    summary = invoke("ladder", *pair)[1].splitlines()[-1]
+    ascii_spine = render.render_ascii(l).splitlines()[-1]
+    svg = render.render_svg(l)
+    if entries == [2]:
+        with pytest.raises(SpineUndefined):
+            farey.spine(l)
+        assert invoke_json("ladder", *pair)["spine"] is None
+        assert summary == "spine (undefined: fewer than 3 triangles)"
+        assert ascii_spine == "spine  (undefined: fewer than 3 triangles)"
+        assert "<polyline" not in svg
+        return
+    want = [str(v) for v in farey.spine(l).vertices]
+    assert len(want) == len(entries) + 2 and want[0] == str(x) and want[-1] == str(y)
+    assert invoke_json("ladder", *pair)["spine"] == want
+    assert summary == "spine " + " ".join(want)
+    assert ascii_spine == "spine  " + " ".join(want)
+    # the polyline's points, read back to vertices through the drawing's layout
+    at = {
+        f"{render._MARGIN + slot * render._X_STEP},{render._RAIL_Y[rail]}": str(v)
+        for v, (slot, rail) in render._layout(l).items()
+    }
+    [points] = [line.split('points="')[1].split('"')[0]
+                for line in svg.splitlines() if line.startswith("<polyline")]
+    assert [at[p] for p in points.split()] == want
 
 
 def test_classify_2bridge_json_roundtrip():
@@ -521,6 +557,35 @@ def test_closed_stdout_exits_1_without_a_traceback(flags):
     proc.stderr.close()
     assert proc.wait(timeout=60) == 1
     assert err == ""  # no traceback, and no flush error at exit
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="limits a Linux child's memory")
+@pytest.mark.parametrize("flags, command", [
+    ((), "geodesics"), (("--json",), "geodesics"), ((), "classify-2bridge"),
+], ids=["geodesics", "json-geodesics", "classify-2bridge"])
+def test_out_of_memory_exits_2_without_a_traceback(flags, command):
+    resource = pytest.importorskip("resource")
+    if not hasattr(resource, "RLIMIT_AS"):
+        pytest.skip("no address-space limit")
+    # 1,346,269 geodesics of 31 vertices: their rows and text do not fit in
+    # 512 MB of address space, so building or writing them runs out of memory
+    y = cf_eval([2] * 30)
+    pair = ("1/0", str(y)) if command == "geodesics" else (str(y.q), str(y.p))
+    limit = 512 << 20
+
+    def limited():
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    proc = subprocess.run(
+        [sys.executable, "-m", "fareybridge", *flags, "--geo-cap", str(10**8), command, *pair],
+        stdout=subprocess.DEVNULL,
+        stderr=subprocess.PIPE,
+        preexec_fn=limited,
+        timeout=120,
+    )
+    err = proc.stderr.decode()
+    assert proc.returncode == 2, err[-2000:]
+    assert err.startswith("resource limit:") and "Traceback" not in err, err[-2000:]
 
 
 # ---------------------------------------------------------------- golden output
